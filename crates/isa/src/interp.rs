@@ -17,31 +17,79 @@ use crate::reg::Reg;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sparse byte-addressable memory used by the interpreter.
+///
+/// Memory is a map from page number to a 4 KiB page. An access that stays
+/// inside one page costs one map lookup; one that crosses a page boundary,
+/// or wraps at `u64::MAX`, goes byte by byte.
 #[derive(Clone, Debug, Default)]
 pub struct SparseMem {
-    pages: HashMap<u64, Box<[u8; Self::PAGE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<PageHasher>>,
+}
+
+const PAGE: usize = 4096;
+
+/// Hashes a page number with one multiply.
+///
+/// Page numbers are not attacker-chosen, so SipHash's flooding resistance
+/// buys nothing here and costs most of a lookup. The multiply carries every
+/// key bit upward, and the final rotate brings the well-mixed high bits down
+/// to where the table takes its bucket index.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+/// Mask of the low `size` bytes (`size <= 8`).
+fn low_bytes(size: u64) -> u64 {
+    if size >= 8 {
+        u64::MAX
+    } else {
+        (1u64 << (8 * size)) - 1
+    }
+}
+
+/// Page number and offset within it.
+fn split(addr: u64) -> (u64, usize) {
+    (addr / PAGE as u64, (addr % PAGE as u64) as usize)
 }
 
 impl SparseMem {
-    const PAGE: usize = 4096;
-
     /// Creates an empty memory (all bytes read as zero).
     pub fn new() -> SparseMem {
         SparseMem::default()
     }
 
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE] {
+        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE]))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let (page, off) = (addr / Self::PAGE as u64, (addr % Self::PAGE as u64) as usize);
+        let (page, off) = split(addr);
         self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let (page, off) = (addr / Self::PAGE as u64, (addr % Self::PAGE as u64) as usize);
-        self.pages.entry(page).or_insert_with(|| Box::new([0; Self::PAGE]))[off] = value;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = value;
     }
 
     /// Reads `size` bytes little-endian, zero-extended to 64 bits.
@@ -51,6 +99,15 @@ impl SparseMem {
     /// Panics if `size > 8`.
     pub fn read(&self, addr: u64, size: u64) -> u64 {
         assert!(size <= 8);
+        let (page, off) = split(addr);
+        if off <= PAGE - 8 {
+            // One fixed-width load: a variable-length copy would be a
+            // `memcpy` call on the simulator's hottest memory path.
+            return self.pages.get(&page).map_or(0, |p| {
+                let word: [u8; 8] = p[off..off + 8].try_into().expect("8 bytes");
+                u64::from_le_bytes(word) & low_bytes(size)
+            });
+        }
         let mut v = 0u64;
         for i in 0..size {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -65,21 +122,46 @@ impl SparseMem {
     /// Panics if `size > 8`.
     pub fn write(&mut self, addr: u64, value: u64, size: u64) {
         assert!(size <= 8);
+        let (page, off) = split(addr);
+        if off <= PAGE - 8 {
+            // Merge into the 8-byte word at `addr`, fixed-width as in `read`.
+            let word = &mut self.page_mut(page)[off..off + 8];
+            let old = u64::from_le_bytes((&*word).try_into().expect("8 bytes"));
+            let mask = low_bytes(size);
+            word.copy_from_slice(&((old & !mask) | (value & mask)).to_le_bytes());
+            return;
+        }
         for i in 0..size {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+    /// Copies a byte slice into memory starting at `addr`, wrapping at
+    /// `u64::MAX` as [`SparseMem::write`] does.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (page, off) = split(addr);
+            let n = bytes.len().min(PAGE - off);
+            self.page_mut(page)[off..off + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+    /// Reads `len` bytes starting at `addr`, wrapping at `u64::MAX` as
+    /// [`SparseMem::read`] does.
+    pub fn read_bytes(&self, mut addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let (page, off) = split(addr);
+            let n = (len - out.len()).min(PAGE - off);
+            match self.pages.get(&page) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            addr = addr.wrapping_add(n as u64);
+        }
+        out
     }
 }
 

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use spt_isa::encode::{decode, encode};
 use spt_isa::interp::SparseMem;
 use spt_isa::{AluOp, BranchCond, Inst, MemSize, Reg};
+use std::collections::HashMap;
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|i| Reg::new(i).expect("in range"))
@@ -42,6 +43,26 @@ fn cond_strategy() -> impl Strategy<Value = BranchCond> {
 
 fn size_strategy() -> impl Strategy<Value = MemSize> {
     prop_oneof![Just(MemSize::B1), Just(MemSize::B2), Just(MemSize::B4), Just(MemSize::B8)]
+}
+
+/// Addresses where `SparseMem` changes path: the last 8 bytes of a page (an
+/// access there may cross into the next one), the last 8 bytes before
+/// `u64::MAX` (an access there wraps to address 0), the first bytes of the
+/// address space (where wrapped bytes land), and anywhere inside a page.
+fn mem_addr_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..3, 4088u64..4096).prop_map(|(page, off)| page * 4096 + off),
+        u64::MAX - 7..=u64::MAX,
+        0u64..8,
+        (0u64..3, 0u64..4096).prop_map(|(page, off)| page * 4096 + off),
+    ]
+}
+
+/// One memory operation: `(kind, addr, value, size)`. Kinds 0-1 write,
+/// 2-3 read, 4 copies `3 * size` bytes in and back out with
+/// `write_bytes`/`read_bytes`.
+fn mem_op_strategy() -> impl Strategy<Value = (u8, u64, u64, u64)> {
+    (0u8..5, mem_addr_strategy(), any::<u64>(), prop_oneof![Just(1u64), Just(2), Just(4), Just(8)])
 }
 
 const IMM_MAX: i64 = (1 << 34) - 1;
@@ -134,6 +155,54 @@ proptest! {
         m.write(b, vb, 8);
         prop_assert_eq!(m.read(a, 8), va);
         prop_assert_eq!(m.read(b, 8), vb);
+    }
+
+    /// Word and slice accesses agree with a byte-wise oracle over mixed-size
+    /// sequences that cross pages and wrap at `u64::MAX`: every read equals
+    /// the composition of `read_u8`, and a write changes exactly its own
+    /// bytes.
+    #[test]
+    fn sparse_mem_matches_bytewise_oracle(
+        ops in proptest::collection::vec(mem_op_strategy(), 1..48)
+    ) {
+        let mut m = SparseMem::new();
+        let mut oracle: HashMap<u64, u8> = HashMap::new();
+        let byte = |o: &HashMap<u64, u8>, a: u64| o.get(&a).copied().unwrap_or(0);
+        for (kind, addr, value, size) in ops {
+            let at = |i: u64| addr.wrapping_add(i);
+            match kind {
+                0 | 1 => {
+                    m.write(addr, value, size);
+                    for i in 0..size {
+                        oracle.insert(at(i), (value >> (8 * i)) as u8);
+                    }
+                }
+                2 | 3 => {
+                    let composed = (0..size)
+                        .map(|i| u64::from(m.read_u8(at(i))) << (8 * i))
+                        .fold(0, |v, b| v | b);
+                    let want = (0..size)
+                        .map(|i| u64::from(byte(&oracle, at(i))) << (8 * i))
+                        .fold(0, |v, b| v | b);
+                    prop_assert_eq!(m.read(addr, size), composed, "read({:#x}, {})", addr, size);
+                    prop_assert_eq!(composed, want, "read({:#x}, {})", addr, size);
+                }
+                _ => {
+                    let bytes: Vec<u8> =
+                        (0..3 * size).map(|i| (value >> (8 * (i % 8))) as u8 ^ i as u8).collect();
+                    m.write_bytes(addr, &bytes);
+                    for (i, &b) in bytes.iter().enumerate() {
+                        oracle.insert(at(i as u64), b);
+                    }
+                    prop_assert_eq!(m.read_bytes(addr, bytes.len()), bytes);
+                }
+            }
+            // The touched bytes and 8 neighbours on each side.
+            for i in 0..3 * size + 16 {
+                let a = addr.wrapping_sub(8).wrapping_add(i);
+                prop_assert_eq!(m.read_u8(a), byte(&oracle, a), "byte {:#x} after op at {:#x}", a, addr);
+            }
+        }
     }
 
     /// Sources/dest classification is stable: every instruction has at

@@ -265,16 +265,7 @@ impl Machine {
         mem: MemSystem,
     ) -> Machine {
         let engine = match prot.kind {
-            ProtectionKind::Spt => {
-                let mut e = TaintEngine::new(prot, core.num_phys);
-                // The pinned zero register is architecturally the constant
-                // 0, i.e. program text: public under any SPT variant that
-                // tracks taint. SecureBaseline deliberately tracks nothing.
-                if prot.untaint.forward() {
-                    let _ = &mut e; // phys 0 handled below via rename of const
-                }
-                Some(e)
-            }
+            ProtectionKind::Spt => Some(TaintEngine::new(prot, core.num_phys)),
             _ => None,
         };
         let stt = match prot.kind {

@@ -216,7 +216,7 @@ impl Json {
     /// Returns a [`JsonError`] with a byte offset on malformed input,
     /// including trailing garbage after the top-level value.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -292,6 +292,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -441,13 +442,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are ASCII,
+                    // so the run ends on a character boundary of `text`.
+                    let start = self.pos;
+                    let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+                    self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -568,6 +568,19 @@ mod tests {
         assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::str("Aé"));
         // Surrogate pair for U+1F600.
         assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::str("\u{1F600}"));
+    }
+
+    #[test]
+    fn multi_megabyte_string_roundtrips() {
+        // Long unescaped runs between escapes and multi-byte characters. A
+        // parser that rescans the rest of the input per character takes
+        // minutes here.
+        let chunk = "plain text, ünïcödé 😀, \"quoted\" \\ and a newline\n";
+        let big = chunk.repeat((4 << 20) / chunk.len());
+        let doc = Json::obj([("blob", Json::str(big)), ("n", Json::U64(7))]);
+        let text = doc.to_string();
+        assert!(text.len() > 4 << 20);
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
