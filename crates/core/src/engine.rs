@@ -514,6 +514,17 @@ impl TaintEngine {
         }
     }
 
+    /// Whether [`Self::step`] would change nothing: no taint state changed
+    /// since the last quiescent step, no orphan broadcast is waiting and no
+    /// retired slot is still in its grace window (or untainting is off
+    /// altogether). While this holds a step is a no-op apart from the aging
+    /// counter, which only matters relative to a grace entry, so a caller
+    /// may skip steps without changing any later outcome.
+    pub fn quiescent(&self) -> bool {
+        !self.cfg.untaint.forward()
+            || (!self.dirty && self.orphans.is_empty() && self.grace_q.is_empty())
+    }
+
     /// Removes all slots with `seq >= from` (squash recovery). Their
     /// pending untaints are dropped: a squashed instruction's inference
     /// never happened architecturally.

@@ -226,6 +226,14 @@ impl Cache {
         self.mshrs.iter().filter(|m| m.ready_at > now).count()
     }
 
+    /// The earliest cycle after `now` at which an outstanding miss
+    /// completes, i.e. the next cycle at which
+    /// [`Self::mshrs_in_flight`] changes. Entries that already expired but
+    /// were not yet recycled are ignored.
+    pub fn next_mshr_expiry(&self, now: u64) -> Option<u64> {
+        self.mshrs.iter().map(|m| m.ready_at).filter(|&t| t > now).min()
+    }
+
     fn expire_mshrs(&mut self, now: u64) {
         self.mshrs.retain(|m| m.ready_at > now);
     }
@@ -442,6 +450,19 @@ mod tests {
         assert_eq!(c.mshrs_in_flight(0), 2);
         assert_eq!(c.mshrs_in_flight(50), 1); // the 0x2000 miss completed
         assert_eq!(c.mshrs_in_flight(100), 0);
+    }
+
+    #[test]
+    fn next_mshr_expiry_skips_expired_entries() {
+        let mut c = small_cache();
+        assert_eq!(c.next_mshr_expiry(0), None);
+        c.allocate_mshr(0x1000, 0, 100);
+        c.allocate_mshr(0x2000, 0, 50);
+        assert_eq!(c.next_mshr_expiry(0), Some(50));
+        assert_eq!(c.next_mshr_expiry(49), Some(50));
+        // Expired at 50 but not yet recycled: the next change is at 100.
+        assert_eq!(c.next_mshr_expiry(50), Some(100));
+        assert_eq!(c.next_mshr_expiry(100), None);
     }
 
     #[test]

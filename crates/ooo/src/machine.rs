@@ -147,6 +147,16 @@ impl RunLimits {
     }
 }
 
+/// One delay counted in the current cycle, by ROB index: the record
+/// [`Machine::run`] replays for every cycle it fast-forwards over.
+#[derive(Clone, Copy, Debug)]
+enum DelayNote {
+    /// A transmitter held back by the protection gate.
+    Transmitter(usize),
+    /// A branch resolution or violation squash deferred.
+    Resolution(usize),
+}
+
 #[derive(Clone, Debug)]
 struct Fetched {
     pc: u64,
@@ -248,6 +258,14 @@ pub struct Machine {
     /// Opt-in occupancy/latency histograms; one null test per cycle when
     /// disabled.
     telemetry: Option<Box<Telemetry>>,
+    /// Set by every stage that changes machine state other than the delay
+    /// counters; cleared at the start of each cycle. A cycle that ends
+    /// with it clear is a fixed point (see [`Machine::fast_forward`]).
+    progress: bool,
+    /// This cycle's delay notes, in emission order.
+    delay_notes: Vec<DelayNote>,
+    /// Cycles [`Machine::run`] skipped as repeats of a quiet cycle.
+    fast_forwarded: u64,
 }
 
 impl Machine {
@@ -319,6 +337,9 @@ impl Machine {
             trace: TraceHandle::disabled(),
             taint_src: Vec::new(),
             telemetry: None,
+            progress: false,
+            delay_notes: Vec::new(),
+            fast_forwarded: 0,
         };
         {
             let h = m.mem.config();
@@ -489,6 +510,13 @@ impl Machine {
         self.cycle
     }
 
+    /// Cycles [`Machine::run`] skipped as exact repeats of a quiet cycle.
+    /// They still count as simulated cycles; this is a diagnostic and not
+    /// part of [`MachineStats`].
+    pub fn fast_forwarded_cycles(&self) -> u64 {
+        self.fast_forwarded
+    }
+
     /// Whether `Halt` has retired.
     pub fn halted(&self) -> bool {
         self.halted
@@ -554,6 +582,12 @@ impl Machine {
                 return Ok(self.outcome(StopReason::RetireBudget));
             }
             self.step_cycle();
+            if !self.progress {
+                // Never skip past the cycle budget or the watchdog cycle,
+                // so both stop exactly where stepping would.
+                let limit = limits.max_cycles.min(self.last_retire_cycle + WATCHDOG + 1);
+                self.fast_forward(limit);
+            }
             if self.cycle - self.last_retire_cycle > WATCHDOG {
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,
@@ -569,36 +603,98 @@ impl Machine {
         RunOutcome { cycles: self.cycle, retired: self.stats.retired, reason }
     }
 
-    /// Advances the machine by one cycle.
+    /// Advances the machine by exactly one cycle. [`Machine::run`] must end
+    /// in the same state as calling this alone (`tests/fast_forward.rs`).
     pub fn step_cycle(&mut self) {
+        self.progress = false;
+        self.delay_notes.clear();
         self.update_vp();
         self.retire();
         self.untaint_step();
         // Resolve validator checks before rename can recycle registers:
         // the attacker observes leaked values when they leak, not later.
-        if let Some(mut v) = self.validator.take() {
-            let rf = &self.rf;
-            v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
-            self.validator = Some(v);
-        }
+        self.drain_validator();
         self.writeback();
         self.resolve();
         self.issue();
         self.rename();
         self.fetch();
+        self.drain_validator();
+        self.sample_telemetry(1);
+        self.cycle += 1;
+    }
+
+    fn drain_validator(&mut self) {
         if let Some(mut v) = self.validator.take() {
             let rf = &self.rf;
-            v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
+            self.progress |= v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
             self.validator = Some(v);
         }
+    }
+
+    /// Records the per-cycle occupancy samples `n` times (once per cycle
+    /// from the current one on, which must all share the same occupancy).
+    fn sample_telemetry(&mut self, n: u64) {
         if let Some(t) = &mut self.telemetry {
-            t.rob_occupancy.record(self.rob.len() as u64);
-            t.rs_occupancy.record(self.rs_used as u64);
-            t.lq_occupancy.record(self.lq_used as u64);
-            t.sq_occupancy.record(self.sq_used as u64);
-            t.mshr_inflight.record(self.mem.l1().mshrs_in_flight(self.cycle) as u64);
+            t.rob_occupancy.record_n(self.rob.len() as u64, n);
+            t.rs_occupancy.record_n(self.rs_used as u64, n);
+            t.lq_occupancy.record_n(self.lq_used as u64, n);
+            t.sq_occupancy.record_n(self.sq_used as u64, n);
+            t.mshr_inflight.record_n(self.mem.l1().mshrs_in_flight(self.cycle) as u64, n);
         }
-        self.cycle += 1;
+    }
+
+    /// Skips the cycles that would repeat the quiet cycle just simulated.
+    ///
+    /// If no stage changed machine state other than the delay counters
+    /// (`progress` is clear) and the taint engine is quiescent, the state
+    /// entering this cycle equals the state entering the previous one, so
+    /// every cycle repeats it until a timed condition changes. The timers
+    /// are the earliest pending completion, the cycle fetch resumes after
+    /// an I-cache miss (inclusive: fetch runs *at* that cycle), the next
+    /// L1 MSHR expiry (telemetry samples the in-flight count) and `limit`.
+    /// Each skipped cycle replays the quiet cycle's delay counters, its
+    /// delay trace events stamped with the skipped cycle, and the
+    /// telemetry samples.
+    fn fast_forward(&mut self, limit: u64) {
+        if self.engine.as_ref().is_some_and(|e| !e.quiescent()) {
+            return;
+        }
+        let now = self.cycle;
+        let mut target = limit;
+        if let Some(&Reverse((t, _))) = self.sched.completions.peek() {
+            target = target.min(t);
+        }
+        if self.ifetch_stall_until >= now {
+            target = target.min(self.ifetch_stall_until);
+        }
+        if let Some(t) = self.mem.l1().next_mshr_expiry(now) {
+            target = target.min(t);
+        }
+        if target <= now {
+            return;
+        }
+        let n = target - now;
+        let mut xmit = 0;
+        for &note in &self.delay_notes {
+            if let DelayNote::Transmitter(i) = note {
+                xmit += 1;
+                self.rob[i].timing.xmit_delay_cycles += n;
+            }
+        }
+        let res = self.delay_notes.len() as u64 - xmit;
+        self.stats.transmitter_delay_cycles += xmit * n;
+        self.stats.resolution_delay_cycles += res * n;
+        if self.trace.enabled() {
+            for cycle in now..target {
+                for k in 0..self.delay_notes.len() {
+                    self.trace_delay(self.delay_notes[k], cycle);
+                }
+            }
+        }
+        self.sample_telemetry(n);
+        self.cycle = target;
+        self.fast_forwarded += n;
     }
 
     // ------------------------------------------------------------------
@@ -619,6 +715,7 @@ impl Machine {
     fn update_vp(&mut self) {
         let futuristic = matches!(self.prot.threat, spt_core::ThreatModel::Futuristic);
         let len = self.rob.len();
+        let ok_before = self.sched.ok_count;
         let mut newly_vp = std::mem::take(&mut self.sched.newly_vp);
         newly_vp.clear();
 
@@ -659,6 +756,7 @@ impl Machine {
             }
             self.sched.ok_count += 1;
         }
+        self.progress |= !newly_vp.is_empty() || self.sched.ok_count != ok_before;
         let frontier = self.sched.ok_count.checked_sub(1).map(|i| self.rob[i].seq);
 
         if let Some(engine) = &mut self.engine {
@@ -704,23 +802,33 @@ impl Machine {
     fn note_xmit_blocked(&mut self, i: usize) {
         self.stats.transmitter_delay_cycles += 1;
         self.rob[i].timing.xmit_delay_cycles += 1;
-        if self.trace.enabled() {
-            let (seq, pc, cycle) = (self.rob[i].seq, self.rob[i].pc, self.cycle);
-            if let Some(sink) = self.trace.sink() {
-                sink.event(cycle, &SptTraceEvent::TransmitterDelayed { seq, pc });
-            }
-        }
+        self.delay_notes.push(DelayNote::Transmitter(i));
+        self.trace_delay(DelayNote::Transmitter(i), self.cycle);
     }
 
     /// Counts a deferred branch-resolution cycle for the entry at ROB
     /// index `i`.
     fn note_resolution_deferred(&mut self, i: usize) {
         self.stats.resolution_delay_cycles += 1;
-        if self.trace.enabled() {
-            let (seq, pc, cycle) = (self.rob[i].seq, self.rob[i].pc, self.cycle);
-            if let Some(sink) = self.trace.sink() {
-                sink.event(cycle, &SptTraceEvent::ResolutionDeferred { seq, pc });
+        self.delay_notes.push(DelayNote::Resolution(i));
+        self.trace_delay(DelayNote::Resolution(i), self.cycle);
+    }
+
+    /// Reports a delay note to the trace sink as happening at `cycle`.
+    fn trace_delay(&mut self, note: DelayNote, cycle: u64) {
+        if !self.trace.enabled() {
+            return;
+        }
+        let event = match note {
+            DelayNote::Transmitter(i) => {
+                SptTraceEvent::TransmitterDelayed { seq: self.rob[i].seq, pc: self.rob[i].pc }
             }
+            DelayNote::Resolution(i) => {
+                SptTraceEvent::ResolutionDeferred { seq: self.rob[i].seq, pc: self.rob[i].pc }
+            }
+        };
+        if let Some(sink) = self.trace.sink() {
+            sink.event(cycle, &event);
         }
     }
 
@@ -734,6 +842,8 @@ impl Machine {
             if !(head.completed() && head.resolved && head.mem.pending_violation.is_none()) {
                 break;
             }
+            // Retires, or a store drain touches the L1 even when it is busy.
+            self.progress = true;
             let seq = head.seq;
 
             if head.is_store() {
@@ -854,8 +964,9 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn untaint_step(&mut self) {
-        if self.engine.is_some() {
-            let step = self.engine.as_mut().expect("checked").step();
+        if let Some(engine) = &mut self.engine {
+            self.progress |= !engine.quiescent();
+            let step = engine.step();
             if let Some(v) = self.validator.as_mut() {
                 for &(phys, kind) in &step.broadcasts {
                     v.on_broadcast(phys, kind);
@@ -923,8 +1034,11 @@ impl Machine {
                     self.sched.stores.range(s_seq..l_seq).all(|&s| engine.leak_operands_clear(s));
                 load_addr_public && stores_public
             };
-            self.rob[i].mem.stl =
-                Some(if public { StlCondition::public() } else { StlCondition::pending(1) });
+            let stl = Some(if public { StlCondition::public() } else { StlCondition::pending(1) });
+            if self.rob[i].mem.stl != stl {
+                self.rob[i].mem.stl = stl;
+                self.progress = true;
+            }
             if !public {
                 continue;
             }
@@ -934,7 +1048,7 @@ impl Machine {
             let data_idx = self.rob_pos.get(s_seq).and_then(|j| self.rob[j].inst.store_data_src());
             let Some(data_idx) = data_idx else { continue };
             if let Some(v) = self.validator.as_mut() {
-                v.on_stl_pair(l_seq, s_seq, data_idx);
+                self.progress |= v.on_stl_pair(l_seq, s_seq, data_idx);
             }
             if let Some(mask) = engine.operand_mask(s_seq, data_idx) {
                 if mask.is_clear() {
@@ -982,6 +1096,7 @@ impl Machine {
                     self.shadow.clear_range(addr, bytes);
                     self.rob[i].mem.range_cleared = true;
                     self.sched.shadow_wait.remove(&seq);
+                    self.progress = true;
                     if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
                         v.on_mem_inferable(addr, bytes, p);
                     }
@@ -1017,6 +1132,7 @@ impl Machine {
             }
         }
         due.sort_unstable();
+        self.progress |= !due.is_empty();
         for &seq in &due {
             let i = self.rob_index(seq).expect("validated on pop");
             let e = &self.rob[i];
@@ -1151,6 +1267,7 @@ impl Machine {
             let e = &mut self.rob[i];
             e.resolved = true;
             self.sched.unresolved_cf.remove(&seq);
+            self.progress = true;
             let actual = e.actual_next.expect("executed control flow has a target");
             if actual != e.pred_next {
                 let pc = e.pc;
@@ -1184,24 +1301,11 @@ impl Machine {
             let i = self.rob_index(seq).expect("tracked store is in the ROB");
             let e = &self.rob[i];
             let Some(victim_seq) = e.mem.pending_violation else { continue };
-            let allowed = match self.prot.kind {
-                ProtectionKind::Unsafe => true,
-                ProtectionKind::Spt => {
-                    e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-                }
-                ProtectionKind::Stt => {
-                    e.vp || {
-                        let stt = self.stt.as_ref().expect("stt");
-                        e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                            !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                        })
-                    }
-                }
-            };
-            if !allowed {
+            if !self.resolution_allowed(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
+            self.progress = true;
             let Some(vi) = self.rob_index(victim_seq) else {
                 self.rob[i].mem.pending_violation = None;
                 self.sched.pending_viol.remove(&seq);
@@ -1368,6 +1472,7 @@ impl Machine {
         }
         snapshot.clear();
         self.sched.ready_snapshot = snapshot;
+        self.progress |= issued > 0;
     }
 
     fn read_src(&self, e: &RobEntry, idx: usize) -> u64 {
@@ -1461,6 +1566,9 @@ impl Machine {
         }
 
         let protected = self.prot.protected();
+        // From here on the TLB and the cache change state, even if the
+        // access then finds every MSHR busy.
+        self.progress = true;
         // Address translation (the TLB channel, §2.1/§7.4): charged before
         // the cache access, covered by the same transmitter gate.
         let tlb_extra = self.dtlb.translate(addr);
@@ -1654,6 +1762,7 @@ impl Machine {
                 break;
             }
             let f = self.fetch_q.pop_front().expect("front exists");
+            self.progress = true;
 
             // Look up sources before allocating the destination (an
             // instruction may read and write the same architectural reg).
@@ -1789,6 +1898,8 @@ impl Machine {
             if self.cycle < self.ifetch_stall_until {
                 break;
             }
+            // Past the stall checks every attempt changes fetch state.
+            self.progress = true;
             let pc = self.fetch_pc;
             // L1I timing: 8-byte instructions, 8 per 64-byte line.
             let line = pc / 8;

@@ -228,14 +228,17 @@ impl SecurityValidator {
         }
     }
 
-    /// Records an established `STLPublic` forwarding pair.
-    pub fn on_stl_pair(&mut self, load_seq: Seq, store_seq: Seq, data_idx: usize) {
-        if !self.stl_pairs.iter().any(|&(l, s, _)| l == load_seq && s == store_seq) {
-            self.stl_pairs.push((load_seq, store_seq, data_idx));
-            if self.stl_pairs.len() > 256 {
-                self.stl_pairs.remove(0);
-            }
+    /// Records an established `STLPublic` forwarding pair. Returns whether
+    /// the pair was new.
+    pub fn on_stl_pair(&mut self, load_seq: Seq, store_seq: Seq, data_idx: usize) -> bool {
+        if self.stl_pairs.iter().any(|&(l, s, _)| l == load_seq && s == store_seq) {
+            return false;
         }
+        self.stl_pairs.push((load_seq, store_seq, data_idx));
+        if self.stl_pairs.len() > 256 {
+            self.stl_pairs.remove(0);
+        }
+        true
     }
 
     /// The machine cleared the taint of memory range `[addr, addr+bytes)`
@@ -625,8 +628,10 @@ impl SecurityValidator {
     }
 
     /// Resolves pending checks whose values are now available; call once
-    /// per cycle with a reader for ready physical registers.
-    pub fn drain(&mut self, value_of: impl Fn(PhysReg) -> Option<u64>) {
+    /// per cycle with a reader for ready physical registers. Returns
+    /// whether any check settled.
+    pub fn drain(&mut self, value_of: impl Fn(PhysReg) -> Option<u64>) -> bool {
+        let mut settled = false;
         loop {
             let mut progressed = false;
             let mut i = 0;
@@ -671,7 +676,9 @@ impl SecurityValidator {
             if !progressed {
                 break;
             }
+            settled = true;
         }
+        settled
     }
 
     /// Diagnostic: explains the knowledge status of a recorded instruction

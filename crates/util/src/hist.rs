@@ -39,13 +39,22 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same value (identical to `n` calls of
+    /// [`Self::record`]).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = (value / self.bucket_width) as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
-        self.samples += 1;
-        self.sum += value;
+        self.counts[idx] += n;
+        self.samples += n;
+        self.sum += value * n;
         self.max = self.max.max(value);
     }
 
@@ -243,6 +252,21 @@ impl Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let mut one = Histogram::new(3);
+        let mut many = Histogram::new(3);
+        for (v, n) in [(5, 4), (0, 2), (11, 1), (7, 0)] {
+            for _ in 0..n {
+                one.record(v);
+            }
+            many.record_n(v, n);
+        }
+        assert_eq!(one, many);
+        assert_eq!(many.samples(), 7);
+        assert_eq!(many.max(), 11);
+    }
 
     #[test]
     fn linear_buckets_and_stats() {
