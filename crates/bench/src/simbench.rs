@@ -16,7 +16,7 @@
 //! `--jobs N` trades fidelity for wall time and is what CI's smoke job
 //! uses.
 
-use crate::runner::{prepare_machine, run_indexed, SweepError, SweepOptions};
+use crate::runner::{prepare_machine, run_indexed, SweepError};
 use spt_core::{Config, ThreatModel};
 use spt_ooo::RunLimits;
 use spt_util::Json;
@@ -167,20 +167,6 @@ impl Default for SimbenchOptions {
             jobs: 1,
             threat: ThreatModel::Futuristic,
             verbose: false,
-        }
-    }
-}
-
-impl SimbenchOptions {
-    /// Options derived from shared sweep flags (`--budget`, `--jobs`,
-    /// `--verbose`); quick mode also drops `iters` to 1.
-    pub fn from_sweep(opts: SweepOptions, quick: bool) -> SimbenchOptions {
-        SimbenchOptions {
-            budget: opts.budget,
-            iters: if quick { 1 } else { 3 },
-            jobs: opts.jobs,
-            verbose: opts.verbose,
-            ..SimbenchOptions::default()
         }
     }
 }

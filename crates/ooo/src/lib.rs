@@ -46,6 +46,7 @@
 
 pub mod config;
 pub mod machine;
+mod protection;
 pub mod rename;
 pub mod rob;
 mod sched;

@@ -26,18 +26,20 @@
 //!   protection, and untaint propagates across a forwarding pair only once
 //!   `STLPublic` holds (§6.7). Memory-dependence-violation squashes are
 //!   likewise deferred until the implicit branch is public.
+//!
+//! Transmitter issue, branch resolution and violation squashes all ask the
+//! same gate, `Protection::leak_allowed` in the crate-private `protection`
+//! module: leak operands untainted, or the entry at the VP.
 
 use crate::config::CoreConfig;
+use crate::protection::Protection;
 use crate::rename::RegisterFile;
 use crate::rob::{ExecState, RobEntry};
 use crate::sched::{RetiredLoadTable, Scheduler};
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
 use crate::telemetry::Telemetry;
 use crate::validate::SecurityValidator;
-use spt_core::{
-    Config, ProtectionKind, RenameInfo, Seq, ShadowTaint, StlCondition, SttTracker, TaintEngine,
-    TaintMask, UntaintKind,
-};
+use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
 use spt_frontend::{Checkpoint, FetchPrediction, Frontend, PredictInfo};
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
@@ -203,8 +205,8 @@ pub struct Machine {
     rob: VecDeque<RobEntry>,
     rob_pos: RobIndex,
     fetch_q: VecDeque<Fetched>,
-    engine: Option<TaintEngine>,
-    stt: Option<SttTracker>,
+    /// The protection scheme: the leak gate and its taint state.
+    protection: Protection,
     shadow: ShadowTaint,
     fetch_pc: u64,
     fetch_stalled: bool,
@@ -282,18 +284,13 @@ impl Machine {
         prot: Config,
         mem: MemSystem,
     ) -> Machine {
-        let engine = match prot.kind {
-            ProtectionKind::Spt => Some(TaintEngine::new(prot, core.num_phys)),
-            _ => None,
-        };
-        let stt = match prot.kind {
-            ProtectionKind::Stt => Some(SttTracker::new(core.num_phys)),
-            _ => None,
-        };
-        let shadow = match prot.kind {
-            ProtectionKind::Spt => ShadowTaint::new(prot.shadow),
-            _ => ShadowTaint::new(spt_core::ShadowMode::None),
-        };
+        let protection = Protection::new(prot, core.num_phys);
+        // Memory taint is tracked only alongside SPT's register taint.
+        let shadow = ShadowTaint::new(if protection.engine().is_some() {
+            prot.shadow
+        } else {
+            spt_core::ShadowMode::None
+        });
         let mut m = Machine {
             core,
             prot,
@@ -304,8 +301,7 @@ impl Machine {
             rob: VecDeque::with_capacity(core.rob_size),
             rob_pos: RobIndex::default(),
             fetch_q: VecDeque::with_capacity(core.fetch_queue),
-            engine,
-            stt,
+            protection,
             shadow,
             fetch_pc: 0,
             fetch_stalled: false,
@@ -346,27 +342,7 @@ impl Machine {
             m.worst_mem_latency =
                 h.l1.hit_latency + h.l2.hit_latency + h.l3.hit_latency + h.dram_latency;
         }
-        m.mark_zero_reg_public();
         m
-    }
-
-    /// Marks physical register 0 (the architectural constant zero) public:
-    /// its value is program text. SecureBaseline tracks no taint, so there
-    /// it stays tainted and transmitters wait for the VP regardless.
-    fn mark_zero_reg_public(&mut self) {
-        if let Some(e) = &mut self.engine {
-            if self.prot.untaint.forward() {
-                // A synthetic Const rename on phys 0, immediately retired.
-                e.rename(RenameInfo {
-                    seq: 0,
-                    class: spt_isa::InstClass::Const,
-                    srcs: [None, None, None],
-                    dest: Some(0),
-                    load_bytes: None,
-                });
-                e.retire(0);
-            }
-        }
     }
 
     /// The protection configuration.
@@ -379,7 +355,7 @@ impl Machine {
     /// meaningful for SPT configurations (the validator models SPT's
     /// semantics).
     pub fn enable_validation(&mut self) {
-        if self.engine.is_some() {
+        if self.protection.engine().is_some() {
             self.validator = Some(SecurityValidator::new());
         }
     }
@@ -438,11 +414,6 @@ impl Machine {
         self.shadow.probe_byte(addr)
     }
 
-    /// Number of live taint-engine slots (diagnostics).
-    pub fn engine_live_slots(&self) -> Option<usize> {
-        self.engine.as_ref().map(|e| e.live_slots())
-    }
-
     /// Number of tracked recently retired loads (diagnostics; bounded by
     /// the table capacity of 128).
     pub fn retired_loads_live(&self) -> usize {
@@ -459,11 +430,6 @@ impl Machine {
             "side index out of sync for seq {seq}"
         );
         idx
-    }
-
-    /// Read access to the validator (diagnostics).
-    pub fn validator_ref(&self) -> Option<&SecurityValidator> {
-        self.validator.as_ref()
     }
 
     /// Finalizes and returns the validator's findings: the number of
@@ -550,7 +516,7 @@ impl Machine {
         h.write_u64(self.cycle);
         h.write_u64(self.stats.retired);
         h.write_u64(self.stats.squashes);
-        if let Some(e) = &self.engine {
+        if let Some(e) = self.protection.engine() {
             h.write_u64(e.stats().decision_digest());
         }
         h.finish()
@@ -560,7 +526,7 @@ impl Machine {
     pub fn stats(&self) -> MachineStats {
         let mut s = self.stats.clone();
         s.cycles = self.cycle;
-        if let Some(e) = &self.engine {
+        if let Some(e) = self.protection.engine() {
             s.spt = e.stats().clone();
         }
         s
@@ -657,7 +623,7 @@ impl Machine {
     /// delay trace events stamped with the skipped cycle, and the
     /// telemetry samples.
     fn fast_forward(&mut self, limit: u64) {
-        if self.engine.as_ref().is_some_and(|e| !e.quiescent()) {
+        if self.protection.engine().is_some_and(|e| !e.quiescent()) {
             return;
         }
         let now = self.cycle;
@@ -759,14 +725,7 @@ impl Machine {
         self.progress |= !newly_vp.is_empty() || self.sched.ok_count != ok_before;
         let frontier = self.sched.ok_count.checked_sub(1).map(|i| self.rob[i].seq);
 
-        if let Some(engine) = &mut self.engine {
-            for &seq in &newly_vp {
-                engine.declassify_vp(seq);
-            }
-        }
-        if let (Some(stt), Some(f)) = (&mut self.stt, frontier) {
-            stt.advance_vp_frontier(f);
-        }
+        self.protection.reach_vp(&newly_vp, frontier);
         self.sched.newly_vp = newly_vp;
     }
 
@@ -852,8 +811,8 @@ impl Machine {
                 let value = head.mem.value;
                 let data_idx = head.inst.store_data_src().expect("store has data operand");
                 let data_mask = self
-                    .engine
-                    .as_ref()
+                    .protection
+                    .engine()
                     .and_then(|e| e.operand_mask(seq, data_idx))
                     .unwrap_or(TaintMask::ALL);
                 match self.mem.write_timed(addr, value, bytes, self.cycle) {
@@ -911,8 +870,8 @@ impl Machine {
             {
                 if let (Some(addr), Some((_, phys, _))) = (head.mem.addr, head.dest) {
                     if self
-                        .engine
-                        .as_ref()
+                        .protection
+                        .engine()
                         .is_some_and(|e| e.dest_mask(seq).is_some_and(|m| m.is_clear()))
                         || head.mem.range_cleared
                     {
@@ -938,9 +897,7 @@ impl Machine {
             if let Some((_, _new, old)) = head.dest {
                 self.rf.release(old);
             }
-            if let Some(engine) = &mut self.engine {
-                engine.retire(seq);
-            }
+            self.protection.retire(seq);
             if let Some(v) = self.validator.as_mut() {
                 v.on_retire(seq);
             }
@@ -964,7 +921,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn untaint_step(&mut self) {
-        if let Some(engine) = &mut self.engine {
+        if let Some(engine) = self.protection.engine_mut() {
             self.progress |= !engine.quiescent();
             let step = engine.step();
             if let Some(v) = self.validator.as_mut() {
@@ -1006,7 +963,7 @@ impl Machine {
     /// Recomputes `STLPublic` for forwarding pairs and propagates untaint
     /// across public pairs (§6.7 rules ① and ②).
     fn stl_pass(&mut self) {
-        let Some(engine) = &mut self.engine else { return };
+        let Some(engine) = self.protection.engine_mut() else { return };
         if !engine.config().untaint.forward() {
             return;
         }
@@ -1089,7 +1046,7 @@ impl Machine {
                     continue;
                 }
                 let Some(addr) = e.mem.addr else { continue };
-                let engine = self.engine.as_ref().expect("stl_pass runs with engine");
+                let engine = self.protection.engine().expect("stl_pass runs with engine");
                 if engine.dest_mask(seq).is_some_and(|m| m.is_clear()) {
                     let bytes = e.mem.bytes;
                     let phys = e.dest.map(|(_, p, _)| p);
@@ -1161,7 +1118,7 @@ impl Machine {
     /// ever run (it needs the taint engine, forward untainting and a
     /// shadow memory) — the gate for tracking `shadow_wait` candidates.
     fn stl_shadow_tracking(&self) -> bool {
-        self.engine.is_some()
+        self.protection.engine().is_some()
             && self.prot.untaint.forward()
             && !matches!(self.prot.shadow, spt_core::ShadowMode::None)
     }
@@ -1188,7 +1145,7 @@ impl Machine {
 
     /// Applies the §6.8 load rules when a load's data arrives.
     fn finish_load_taint(&mut self, idx: usize, seq: Seq) {
-        let Some(engine) = &mut self.engine else { return };
+        let Some(engine) = self.protection.engine_mut() else { return };
         let e = &self.rob[idx];
         if e.mem.fwd_from.is_some() || e.mem.oblivious {
             // Forwarded data flows via STLPublic (stl_pass); oblivious loads
@@ -1221,23 +1178,6 @@ impl Machine {
     // Resolution (branches + deferred memory-order violations)
     // ------------------------------------------------------------------
 
-    fn resolution_allowed(&self, e: &RobEntry) -> bool {
-        match self.prot.kind {
-            ProtectionKind::Unsafe => true,
-            ProtectionKind::Spt => {
-                e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-            }
-            ProtectionKind::Stt => {
-                e.vp || {
-                    let stt = self.stt.as_ref().expect("stt tracker");
-                    e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                        !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                    })
-                }
-            }
-        }
-    }
-
     fn resolve(&mut self) {
         let mut snapshot = std::mem::take(&mut self.sched.resolve_snapshot);
         // At most one squash per cycle: violations are only considered
@@ -1260,7 +1200,7 @@ impl Machine {
             if e.state != ExecState::Done {
                 continue;
             }
-            if !self.resolution_allowed(e) {
+            if !self.protection.leak_allowed(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
@@ -1301,7 +1241,7 @@ impl Machine {
             let i = self.rob_index(seq).expect("tracked store is in the ROB");
             let e = &self.rob[i];
             let Some(victim_seq) = e.mem.pending_violation else { continue };
-            if !self.resolution_allowed(e) {
+            if !self.protection.leak_allowed(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
@@ -1369,9 +1309,7 @@ impl Machine {
         }
         snapshot.clear();
         self.sched.squash_snapshot = snapshot;
-        if let Some(engine) = &mut self.engine {
-            engine.squash_from(seq + 1);
-        }
+        self.protection.squash_from(seq + 1);
         if let Some(v) = self.validator.as_mut() {
             v.on_squash(seq + 1);
         }
@@ -1383,22 +1321,6 @@ impl Machine {
 
     fn srcs_ready(&self, e: &RobEntry) -> bool {
         e.srcs.iter().flatten().all(|&p| self.rf.is_ready(p))
-    }
-
-    /// The protection gate for transmitters (loads/stores).
-    fn transmit_allowed(&self, e: &RobEntry) -> bool {
-        match self.prot.kind {
-            ProtectionKind::Unsafe => true,
-            ProtectionKind::Spt => {
-                e.vp || self.engine.as_ref().is_some_and(|eng| eng.leak_operands_clear(e.seq))
-            }
-            ProtectionKind::Stt => {
-                let stt = self.stt.as_ref().expect("stt tracker");
-                e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
-                    !role.leaks_at_vp() || e.srcs[i].is_none_or(|p| !stt.tainted(p))
-                })
-            }
-        }
     }
 
     fn issue(&mut self) {
@@ -1424,7 +1346,7 @@ impl Machine {
                     if mem_issued >= self.core.mem_ports {
                         continue;
                     }
-                    if !self.transmit_allowed(&self.rob[i]) {
+                    if !self.protection.leak_allowed(&self.rob[i]) {
                         // SDO-style policy (§6.3): execute the unsafe load
                         // obliviously instead of delaying it.
                         if self.prot.policy == spt_core::Policy::Oblivious
@@ -1446,7 +1368,7 @@ impl Machine {
                     if mem_issued >= self.core.mem_ports {
                         continue;
                     }
-                    if !self.transmit_allowed(&self.rob[i]) {
+                    if !self.protection.leak_allowed(&self.rob[i]) {
                         self.note_xmit_blocked(i);
                         continue;
                     }
@@ -1458,9 +1380,8 @@ impl Machine {
                     // Variable-time instructions are transmitters when the
                     // configuration protects that channel (§2.1).
                     if self.rob[i].inst.is_variable_time()
-                        && self.prot.protected()
                         && self.prot.variable_time_transmitters
-                        && !self.transmit_allowed(&self.rob[i])
+                        && !self.protection.leak_allowed(&self.rob[i])
                     {
                         self.note_xmit_blocked(i);
                         continue;
@@ -1482,12 +1403,7 @@ impl Machine {
     /// Effective address of a load/store entry (operands must be ready).
     fn effective_addr(&self, e: &RobEntry) -> u64 {
         match e.inst {
-            Inst::Load { index, scale, offset, .. } => {
-                let base = self.read_src(e, 0);
-                let idx = if index.is_zero() { 0 } else { self.read_src(e, 1) };
-                base.wrapping_add(idx << scale).wrapping_add(offset as u64)
-            }
-            Inst::Store { index, scale, offset, .. } => {
+            Inst::Load { index, scale, offset, .. } | Inst::Store { index, scale, offset, .. } => {
                 let base = self.read_src(e, 0);
                 let idx = if index.is_zero() { 0 } else { self.read_src(e, 1) };
                 base.wrapping_add(idx << scale).wrapping_add(offset as u64)
@@ -1536,6 +1452,28 @@ impl Machine {
         self.sched.completions.push(Reverse((done_at, seq)));
     }
 
+    /// Store-queue search for load `seq` reading `bytes` at `addr`,
+    /// youngest older store first. `Some(Some((store, value)))`: a store
+    /// fully covers the load and forwards its data; `Some(None)`: no store
+    /// with a known address overlaps it; `None`: a partial overlap.
+    fn store_forward(&self, seq: Seq, addr: u64, bytes: u64) -> Option<Option<(Seq, u64)>> {
+        for &s_seq in self.sched.stores.range(..seq).rev() {
+            let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
+            let s = &self.rob[j];
+            let Some(sa) = s.mem.addr else { continue }; // unknown address: speculate no-alias
+            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
+                let shifted = s.mem.value >> (8 * (addr - sa));
+                let masked =
+                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
+                return Some(Some((s.seq, masked)));
+            }
+            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
+                return None;
+            }
+        }
+        Some(None)
+    }
+
     /// Attempts to issue the load at ROB index `i`. Returns `false` if it
     /// must retry later (forwarding blocked or MSHRs busy).
     fn try_issue_load(&mut self, i: usize) -> bool {
@@ -1545,25 +1483,8 @@ impl Machine {
         let bytes = e.mem.bytes;
         let seq = e.seq;
 
-        // Store-queue search, youngest older store first.
-        let mut forward: Option<(Seq, u64)> = None;
-        for &s_seq in self.sched.stores.range(..seq).rev() {
-            let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
-            let s = &self.rob[j];
-            let Some(sa) = s.mem.addr else { continue }; // unknown address: speculate no-alias
-            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
-                // Full cover: forward the store's data.
-                let shifted = s.mem.value >> (8 * (addr - sa));
-                let masked =
-                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
-                forward = Some((s.seq, masked));
-                break;
-            }
-            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
-                // Partial overlap: wait until the store drains to memory.
-                return false;
-            }
-        }
+        // Partial overlap: wait until the store drains to memory.
+        let Some(forward) = self.store_forward(seq, addr, bytes) else { return false };
 
         let protected = self.prot.protected();
         // From here on the TLB and the cache change state, even if the
@@ -1640,22 +1561,8 @@ impl Machine {
         let bytes = e.mem.bytes;
         let seq = e.seq;
 
-        let mut forward: Option<(Seq, u64)> = None;
-        for &s_seq in self.sched.stores.range(..seq).rev() {
-            let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
-            let s = &self.rob[j];
-            let Some(sa) = s.mem.addr else { continue };
-            if RobEntry::range_covers(sa, s.mem.bytes, addr, bytes) {
-                let shifted = s.mem.value >> (8 * (addr - sa));
-                let masked =
-                    if bytes == 8 { shifted } else { shifted & ((1u64 << (8 * bytes)) - 1) };
-                forward = Some((s.seq, masked));
-                break;
-            }
-            if RobEntry::ranges_overlap(sa, s.mem.bytes, addr, bytes) {
-                return false; // partial overlap: fall back to delaying
-            }
-        }
+        // Partial overlap: fall back to delaying.
+        let Some(forward) = self.store_forward(seq, addr, bytes) else { return false };
         let value = match forward {
             Some((_, v)) => v,
             None => self.mem.store_ref().read(addr, bytes),
@@ -1783,22 +1690,8 @@ impl Machine {
             let seq = self.next_seq;
             self.next_seq += 1;
 
-            if let Some(engine) = &mut self.engine {
-                let mut info_srcs: [Option<(spt_core::PhysReg, spt_isa::OperandRole)>; 3] =
-                    [None, None, None];
-                for (k, (_, role)) in inst.sources().iter().enumerate() {
-                    info_srcs[k] = Some((srcs[k].expect("looked up"), role));
-                }
-                let dest_taint = engine.rename(RenameInfo {
-                    seq,
-                    class: inst.class(),
-                    srcs: info_srcs,
-                    dest: dest.map(|(_, new, _)| new),
-                    load_bytes: match inst {
-                        Inst::Load { size, .. } => Some(size.bytes()),
-                        _ => None,
-                    },
-                });
+            let dest_taint = self.protection.rename(seq, inst, srcs, dest.map(|(_, new, _)| new));
+            if let Some(dest_taint) = dest_taint {
                 if let Some(v) = self.validator.as_mut() {
                     v.on_rename(
                         seq,
@@ -1826,15 +1719,6 @@ impl Machine {
                             t.on_taint(new, cycle);
                         }
                     }
-                }
-            }
-            if let Some(stt) = &mut self.stt {
-                if matches!(inst, Inst::Load { .. }) {
-                    if let Some((_, new, _)) = dest {
-                        stt.rename_load(seq, new);
-                    }
-                } else {
-                    stt.rename_alu(&srcs, dest.map(|(_, new, _)| new));
                 }
             }
 
@@ -2168,7 +2052,7 @@ mod tests {
             }
             m.run(RunLimits::default()).unwrap();
             assert_eq!(m.reg(Reg::R2), expected, "{cfg}");
-            if cfg.kind == ProtectionKind::Unsafe {
+            if !cfg.protected() {
                 assert!(m.stats().branch_mispredicts > 0, "pattern must mispredict");
             }
         }

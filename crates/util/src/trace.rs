@@ -52,7 +52,6 @@
 //! interleaving, so emit → parse → [`ParsedTrace::reemit`] is
 //! byte-identical.
 
-use crate::json::Json;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -706,17 +705,6 @@ pub fn parse_o3_trace(text: &str) -> Result<ParsedTrace, String> {
 /// Returns a message naming the first offending line (1-based).
 pub fn validate_o3_trace(text: &str) -> Result<O3TraceSummary, String> {
     parse_o3_trace(text).map(|t| t.summary())
-}
-
-/// Renders a trace-validation summary as JSON (used by the CI gate's
-/// machine-readable output).
-pub fn o3_summary_json(s: &O3TraceSummary) -> Json {
-    Json::obj([
-        ("instructions", Json::U64(s.instructions)),
-        ("retired", Json::U64(s.retired)),
-        ("squashed", Json::U64(s.squashed)),
-        ("events", Json::U64(s.events)),
-    ])
 }
 
 #[cfg(test)]
