@@ -2,6 +2,7 @@
 //! replacement and a bounded MSHR file.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Geometric parameters of a cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,10 +132,21 @@ pub struct AccessResult {
 }
 
 /// One level of the cache hierarchy.
+///
+/// Sets are materialized on their first fill, so a cold cache costs what it
+/// touches rather than its capacity. `lines` starts as one block of `assoc`
+/// invalid lines that every never-filled set shares; `slot[s]` is the
+/// offset of set `s`'s ways in `lines`, and 0 until `s` is first filled.
+/// A never-filled set therefore reads as all-invalid with no branch, and
+/// only `fill` may write a line that is not already valid.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    slot: Vec<u32>,
+    // `u32` like the offsets, so `slot + assoc` cannot overflow and the
+    // hot path bounds-checks a set's ways with one compare.
+    assoc: u32,
     mshrs: Vec<Mshr>,
     tick: u64,
     stats: CacheStats,
@@ -152,12 +164,18 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics on an inconsistent geometry (see [`CacheGeometry::sets`]).
+    /// Panics on an inconsistent geometry (see [`CacheGeometry::sets`]),
+    /// or if the lines of every set plus the shared block overflow a `u32`
+    /// offset.
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.geometry.sets();
+        let assoc = cfg.geometry.assoc;
+        assert!(u32::try_from((sets + 1) * assoc).is_ok(), "too many lines for u32 set offsets");
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.geometry.assoc]; sets],
+            lines: vec![Line::default(); assoc],
+            slot: vec![0; sets],
+            assoc: assoc as u32,
             mshrs: Vec::with_capacity(cfg.mshrs),
             tick: 0,
             stats: CacheStats::default(),
@@ -182,6 +200,19 @@ impl Cache {
         addr & !((1u64 << self.line_shift) - 1)
     }
 
+    /// Where set `set_idx`'s ways sit in `lines` (the shared invalid block
+    /// if the set was never filled).
+    #[inline]
+    fn ways(&self, set_idx: usize) -> Range<usize> {
+        let base = self.slot[set_idx] as usize;
+        base..base + self.assoc as usize
+    }
+
+    /// The address of the line with `tag` in set `set_idx`.
+    fn addr_of(&self, tag: u64, set_idx: usize) -> u64 {
+        (tag * self.slot.len() as u64 + set_idx as u64) * self.cfg.geometry.line_bytes as u64
+    }
+
     /// This cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
@@ -201,9 +232,8 @@ impl Cache {
     /// statistics. This is the attacker's observation primitive and is also
     /// used by tests.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = &self.sets[self.set_index(addr)];
         let tag = self.tag(addr);
-        set.iter().any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways(self.set_index(addr))].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Returns `true` if a free MSHR is available at `now` (expired entries
@@ -269,8 +299,9 @@ impl Cache {
         let tag = self.tag(addr);
         let set_idx = self.set_index(addr);
         let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut() {
+        let ways = self.ways(set_idx);
+        // A hit writes only a valid line, so the shared block stays invalid.
+        for line in &mut self.lines[ways] {
             if line.valid && line.tag == tag {
                 line.lru = tick;
                 if write {
@@ -291,12 +322,16 @@ impl Cache {
         let tag = self.tag(addr);
         let set_idx = self.set_index(addr);
         let line_addr = self.line_of(addr);
-        let sets = self.sets.len() as u64;
-        let line_bytes = self.cfg.geometry.line_bytes as u64;
         let tick = self.tick;
 
+        if self.slot[set_idx] == 0 {
+            // First fill of this set: give it ways of its own.
+            self.slot[set_idx] = self.lines.len() as u32;
+            self.lines.resize(self.lines.len() + self.assoc as usize, Line::default());
+        }
+        let ways = self.ways(set_idx);
         let mut events = Vec::new();
-        let set = &mut self.sets[set_idx];
+        let set = &self.lines[ways.clone()];
         // Prefer an invalid way; otherwise evict LRU.
         let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
             set.iter()
@@ -305,16 +340,15 @@ impl Cache {
                 .map(|(i, _)| i)
                 .expect("cache set cannot be empty")
         });
-        let v = &mut set[victim];
+        let v = set[victim];
         if v.valid {
-            let victim_addr = (v.tag * sets + set_idx as u64) * line_bytes;
-            events.push(LineEvent::Evict { line_addr: victim_addr });
+            events.push(LineEvent::Evict { line_addr: self.addr_of(v.tag, set_idx) });
             self.stats.evictions += 1;
             if v.dirty {
                 self.stats.writebacks += 1;
             }
         }
-        *v = Line { valid: true, dirty: write, tag, lru: tick };
+        self.lines[ways.start + victim] = Line { valid: true, dirty: write, tag, lru: tick };
         events.push(LineEvent::Fill { line_addr });
         events
     }
@@ -327,16 +361,24 @@ impl Cache {
     /// dirty). LRU tick values are deliberately excluded: they encode the
     /// absolute access count, not a per-line observable, and would make
     /// digests of behaviourally identical runs differ spuriously.
+    ///
+    /// Never-filled sets hold no valid line and add nothing, so only
+    /// filled sets are visited, in set order.
     pub fn fold_state(&self, h: &mut spt_util::Fnv64) {
-        for (set_idx, set) in self.sets.iter().enumerate() {
-            let mut present: Vec<(u64, bool)> =
-                set.iter().filter(|l| l.valid).map(|l| (l.tag, l.dirty)).collect();
-            present.sort_unstable();
+        let mut present: Vec<(u64, bool)> = Vec::with_capacity(self.assoc as usize);
+        for (set_idx, &base) in self.slot.iter().enumerate() {
+            if base == 0 {
+                continue;
+            }
+            present.clear();
+            let ways = &self.lines[self.ways(set_idx)];
+            present.extend(ways.iter().filter(|l| l.valid).map(|l| (l.tag, l.dirty)));
             if present.is_empty() {
                 continue;
             }
+            present.sort_unstable();
             h.write_u64(set_idx as u64);
-            for (tag, dirty) in present {
+            for &(tag, dirty) in &present {
                 h.write_u64(tag);
                 h.write_u64(u64::from(dirty));
             }
@@ -356,7 +398,8 @@ impl Cache {
         let tag = self.tag(addr);
         let set_idx = self.set_index(addr);
         let line_addr = self.line_of(addr);
-        for line in &mut self.sets[set_idx] {
+        let ways = self.ways(set_idx);
+        for line in &mut self.lines[ways] {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 line.dirty = false;
@@ -369,15 +412,15 @@ impl Cache {
     /// Invalidates every line (used between penetration-test phases).
     pub fn flush(&mut self) -> Vec<LineEvent> {
         let mut events = Vec::new();
-        let sets = self.sets.len() as u64;
-        let line_bytes = self.cfg.geometry.line_bytes as u64;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for line in set.iter_mut() {
+        for set_idx in 0..self.slot.len() {
+            if self.slot[set_idx] == 0 {
+                continue;
+            }
+            for way in self.ways(set_idx) {
+                let line = self.lines[way];
                 if line.valid {
-                    let addr = (line.tag * sets + set_idx as u64) * line_bytes;
-                    events.push(LineEvent::Evict { line_addr: addr });
-                    line.valid = false;
-                    line.dirty = false;
+                    events.push(LineEvent::Evict { line_addr: self.addr_of(line.tag, set_idx) });
+                    self.lines[way] = Line { valid: false, dirty: false, ..line };
                 }
             }
         }
@@ -403,6 +446,7 @@ impl fmt::Display for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HierarchyConfig;
 
     fn small_cache() -> Cache {
         // 4 sets x 2 ways x 64B lines = 512B.
@@ -523,6 +567,37 @@ mod tests {
         assert_eq!(c.stats().mshr_rejections, 1);
         // After the first completes, space frees up.
         assert!(c.allocate_mshr(0x3000, 101, 130));
+    }
+
+    fn l3_geometry_cache() -> Cache {
+        Cache::new(HierarchyConfig::default().l3)
+    }
+
+    #[test]
+    fn sets_are_materialized_on_first_fill() {
+        let mut c = l3_geometry_cache();
+        let (assoc, sets) = (c.assoc as usize, c.slot.len() as u64);
+        assert_eq!(c.lines.len(), assoc, "a fresh cache holds only the shared block");
+        // Three distinct sets, the first filled twice (same set, new tag).
+        for addr in [0x0, 0x40, 0x80, sets * 64] {
+            c.fill(addr, false);
+        }
+        assert_eq!(c.lines.len(), 4 * assoc, "k = 3 filled sets hold (k + 1) * assoc lines");
+        assert!(c.lookup(0x40, false) && !c.lookup(0xc0, false));
+        assert!(c.lines[..assoc].iter().all(|l| !l.valid), "the shared block stays invalid");
+    }
+
+    #[test]
+    fn an_emptied_set_folds_like_a_never_filled_one() {
+        let mut c = l3_geometry_cache();
+        let cold = c.state_digest();
+        c.fill(0x1000, true);
+        assert_ne!(c.state_digest(), cold);
+        assert_eq!(c.invalidate(0x1000), Some(LineEvent::Evict { line_addr: 0x1000 }));
+        assert_eq!(c.state_digest(), cold);
+        c.fill(0x2000, false);
+        c.flush();
+        assert_eq!(c.state_digest(), cold);
     }
 
     #[test]

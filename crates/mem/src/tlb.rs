@@ -101,14 +101,16 @@ impl Tlb {
     /// attacker learns exactly which pages are cached). LRU ticks are
     /// excluded for the same reason as in `Cache::fold_state`.
     pub fn fold_state(&self, h: &mut spt_util::Fnv64) {
+        let mut vpns = Vec::new();
         for (set_idx, set) in self.sets.iter().enumerate() {
-            let mut vpns: Vec<u64> = set.iter().filter(|e| e.valid).map(|e| e.vpn).collect();
-            vpns.sort_unstable();
+            vpns.clear();
+            vpns.extend(set.iter().filter(|e| e.valid).map(|e| e.vpn));
             if vpns.is_empty() {
                 continue;
             }
+            vpns.sort_unstable();
             h.write_u64(set_idx as u64);
-            for vpn in vpns {
+            for &vpn in &vpns {
                 h.write_u64(vpn);
             }
         }
