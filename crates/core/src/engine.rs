@@ -24,7 +24,8 @@ use crate::config::Config;
 use crate::stats::{SptStats, UntaintKind};
 use crate::taint::TaintMask;
 use spt_isa::{InstClass, OperandRole};
-use std::collections::{BTreeSet, VecDeque};
+use spt_util::SeqSet;
+use std::collections::VecDeque;
 
 /// Physical register identifier.
 pub type PhysReg = u32;
@@ -90,12 +91,54 @@ struct Slot {
 /// source operands by *array* index (holes never carry pending flags).
 /// Ordering `(seq, pos)` therefore enumerates pending broadcasts exactly
 /// as the paper requires: older slots first, destinations before sources.
-type ReplicaPos = (Seq, u8);
-
 const DEST_POS: u8 = 0;
 
 fn src_pos(array_idx: usize) -> u8 {
     array_idx as u8 + 1
+}
+
+/// The `pending_q` key of replica `pos` of slot `seq`: `seq << 2 | pos`,
+/// so ascending keys are ascending `(seq, pos)`.
+fn replica_key(seq: Seq, pos: u8) -> u64 {
+    seq << 2 | u64::from(pos)
+}
+
+/// Inverse of [`replica_key`].
+fn replica_of(key: u64) -> (Seq, u8) {
+    (key >> 2, (key & 3) as u8)
+}
+
+/// One physical register's list of slots holding a replica of it (see
+/// `TaintEngine::deps`). Seqs whose slot is gone are stale and skipped by
+/// every walk, so dropping them never changes an outcome; the list drops
+/// them whenever it is walked and, so that a register no walk reaches
+/// (a long-lived public one, read by every loop iteration) stays bounded,
+/// whenever a push has doubled its length since the last such pass.
+#[derive(Clone, Debug, Default)]
+struct DepList {
+    seqs: Vec<Seq>,
+    /// Length right after the last compaction.
+    compacted: usize,
+}
+
+impl DepList {
+    /// Lists shorter than this are never compacted on push.
+    const MIN_COMPACT: usize = 16;
+
+    /// Appends `seq`, first dropping every seq `live` rejects if the list
+    /// has doubled since its last compaction (amortized O(1) per push).
+    fn push(&mut self, seq: Seq, live: impl FnMut(Seq) -> bool) {
+        if self.seqs.len() >= (2 * self.compacted).max(Self::MIN_COMPACT) {
+            self.retain(live);
+        }
+        self.seqs.push(seq);
+    }
+
+    /// Keeps the seqs `keep` accepts, in order (a compaction).
+    fn retain(&mut self, mut keep: impl FnMut(Seq) -> bool) {
+        self.seqs.retain(|&seq| keep(seq));
+        self.compacted = self.seqs.len();
+    }
 }
 
 /// Order-stable slot storage keyed by sequence number.
@@ -220,13 +263,15 @@ pub struct TaintEngine {
     reg_taint: Vec<TaintMask>,
     slots: SlotSlab,
     /// Per physical register: live slots holding a replica of it (stale
-    /// seqs are skipped and compacted when the list is next walked).
-    deps: Vec<Vec<Seq>>,
-    /// Replica positions with a set pending-untaint flag, in bus priority
-    /// order (older slots first, destination before sources).
-    pending_q: BTreeSet<ReplicaPos>,
+    /// seqs are skipped, and compacted when the list is next walked or has
+    /// doubled since its last compaction).
+    deps: Vec<DepList>,
+    /// Replica positions with a set pending-untaint flag, keyed by
+    /// [`replica_key`] in bus priority order (older slots first,
+    /// destination before sources).
+    pending_q: SeqSet,
     /// Slots whose replicas changed since the last phase-1 pass.
-    rules_q: BTreeSet<Seq>,
+    rules_q: SeqSet,
     /// Pending broadcasts whose slot retired before the width-limited bus
     /// got to them; they keep highest priority (they are the oldest).
     orphans: Vec<(PhysReg, UntaintKind)>,
@@ -254,9 +299,9 @@ impl TaintEngine {
             cfg,
             reg_taint: vec![TaintMask::ALL; num_phys],
             slots: SlotSlab::default(),
-            deps: vec![Vec::new(); num_phys],
-            pending_q: BTreeSet::new(),
-            rules_q: BTreeSet::new(),
+            deps: vec![DepList::default(); num_phys],
+            pending_q: SeqSet::new(),
+            rules_q: SeqSet::new(),
             orphans: Vec::new(),
             dirty: false,
             grace_q: VecDeque::new(),
@@ -331,17 +376,18 @@ impl TaintEngine {
             SlotReg::new(phys, dest_taint)
         });
 
-        // Index the new slot under every register it holds a replica of.
-        for (phys, _) in srcs.iter().flatten().map(|(r, role)| (r.phys, role)) {
-            self.deps[phys as usize].push(info.seq);
-        }
-        if let Some(d) = &dest {
-            self.deps[d.phys as usize].push(info.seq);
+        // Index the new slot under every register it holds a replica of
+        // (after inserting it: a compaction keeps only live slots).
+        let held = srcs.map(|s| s.map(|(r, _)| r.phys));
+        let dest_phys = dest.map(|d| d.phys);
+        self.slots.insert(info.seq, Slot { class: info.class, srcs, dest, in_grace: false });
+        for phys in held.into_iter().chain([dest_phys]).flatten() {
+            let slots = &self.slots;
+            self.deps[phys as usize].push(info.seq, |seq| slots.contains(seq));
         }
         if self.cfg.untaint.forward() {
             self.rules_q.insert(info.seq);
         }
-        self.slots.insert(info.seq, Slot { class: info.class, srcs, dest, in_grace: false });
         dest_taint
     }
 
@@ -351,16 +397,15 @@ impl TaintEngine {
     /// under the register are visited.
     fn purge_recycled_phys(&mut self, phys: PhysReg) {
         self.orphans.retain(|(p, _)| *p != phys);
-        let list = std::mem::take(&mut self.deps[phys as usize]);
-        for &seq in &list {
+        let mut list = std::mem::take(&mut self.deps[phys as usize]);
+        for &seq in &list.seqs {
             if self.slots.get(seq).is_some_and(|s| s.in_grace) {
                 self.finalize_retire(seq, Some(phys));
             }
         }
         // Compact: keep only seqs whose slot is still live (the finalized
         // grace slots and any older stale entries drop out here).
-        let mut list = list;
-        list.retain(|&seq| self.slots.contains(seq));
+        list.retain(|seq| self.slots.contains(seq));
         self.deps[phys as usize] = list;
     }
 
@@ -413,7 +458,7 @@ impl TaintEngine {
         for (i, src) in slot.srcs.iter_mut().enumerate() {
             if let Some(src) = src {
                 if src.1.leaks_at_vp() && src.0.untaint(kind) {
-                    self.pending_q.insert((seq, src_pos(i)));
+                    self.pending_q.insert(replica_key(seq, src_pos(i)));
                     changed = true;
                 }
             }
@@ -434,7 +479,7 @@ impl TaintEngine {
         let new = dest.taint.intersect(mask);
         if new.is_clear() && dest.taint.any() {
             if dest.untaint(kind) {
-                self.pending_q.insert((seq, DEST_POS));
+                self.pending_q.insert(replica_key(seq, DEST_POS));
             }
             self.rules_q.insert(seq);
             self.dirty = true;
@@ -453,7 +498,7 @@ impl TaintEngine {
         if let Some(slot) = self.slots.get_mut(seq) {
             if let Some(Some((reg, _))) = slot.srcs.get_mut(idx) {
                 if reg.untaint(kind) {
-                    self.pending_q.insert((seq, src_pos(idx)));
+                    self.pending_q.insert(replica_key(seq, src_pos(idx)));
                     self.rules_q.insert(seq);
                     self.dirty = true;
                 }
@@ -494,9 +539,9 @@ impl TaintEngine {
                 keep(r);
             }
             for pos in DEST_POS..=src_pos(2) {
-                self.pending_q.remove(&(seq, pos));
+                self.pending_q.remove(replica_key(seq, pos));
             }
-            self.rules_q.remove(&seq);
+            self.rules_q.remove(seq);
         }
     }
 
@@ -530,8 +575,8 @@ impl TaintEngine {
     /// never happened architecturally.
     pub fn squash_from(&mut self, from: Seq) {
         self.slots.truncate_from(from);
-        let _ = self.pending_q.split_off(&(from, 0));
-        let _ = self.rules_q.split_off(&from);
+        self.pending_q.truncate_from(replica_key(from, DEST_POS));
+        self.rules_q.truncate_from(from);
     }
 
     /// Phase 1: applies the §6.6 rules locally — but only to slots whose
@@ -545,8 +590,10 @@ impl TaintEngine {
         if !fwd {
             return;
         }
-        let queue = std::mem::take(&mut self.rules_q);
-        for &seq in &queue {
+        // The pass adds nothing to `rules_q`, so the drained queue goes back
+        // empty with its allocation.
+        let mut queue = std::mem::take(&mut self.rules_q);
+        for seq in &queue {
             let Some(slot) = self.slots.get_mut(seq) else { continue };
             let mut src_tainted = [false; 3];
             let mut n_srcs = 0;
@@ -559,7 +606,7 @@ impl TaintEngine {
                     && forward_untaints(slot.class, &src_tainted[..n_srcs])
                     && dest.untaint(UntaintKind::Forward)
                 {
-                    self.pending_q.insert((seq, DEST_POS));
+                    self.pending_q.insert(replica_key(seq, DEST_POS));
                 }
             }
             if bwd {
@@ -574,7 +621,7 @@ impl TaintEngine {
                             if back.get(packed).copied().unwrap_or(false)
                                 && src.0.untaint(UntaintKind::Backward)
                             {
-                                self.pending_q.insert((seq, src_pos(i)));
+                                self.pending_q.insert(replica_key(seq, src_pos(i)));
                             }
                             packed += 1;
                         }
@@ -582,6 +629,9 @@ impl TaintEngine {
                 }
             }
         }
+        debug_assert!(self.rules_q.is_empty());
+        queue.clear();
+        self.rules_q = queue;
     }
 
     /// Phase 2: selects at most `width` pending untaints (orphans first,
@@ -617,10 +667,11 @@ impl TaintEngine {
         // walk below consumes it) or is deferred, and the exact deferred
         // count falls out as `queued - consumed` afterwards.
         let queued = self.pending_q.len() as u64;
-        for &(seq, pos) in &self.pending_q {
+        for key in &self.pending_q {
             if chosen.len() >= width {
                 break;
             }
+            let (seq, pos) = replica_of(key);
             let slot = self.slots.get(seq).expect("pending_q references a live slot");
             let r = if pos == DEST_POS {
                 slot.dest.as_ref().expect("pending dest replica exists")
@@ -648,14 +699,14 @@ impl TaintEngine {
         let mut consumed = 0u64;
         for &(phys, _) in &chosen {
             let mut list = std::mem::take(&mut self.deps[phys as usize]);
-            list.retain(|&seq| {
+            list.retain(|seq| {
                 let Some(slot) = self.slots.get_mut(seq) else { return false };
                 let mut touched = false;
                 if let Some(d) = slot.dest.as_mut() {
                     if d.phys == phys {
                         d.taint = TaintMask::NONE;
                         if d.pending.take().is_some() {
-                            self.pending_q.remove(&(seq, DEST_POS));
+                            self.pending_q.remove(replica_key(seq, DEST_POS));
                             consumed += 1;
                         }
                         touched = true;
@@ -666,7 +717,7 @@ impl TaintEngine {
                         if r.phys == phys {
                             r.taint = TaintMask::NONE;
                             if r.pending.take().is_some() {
-                                self.pending_q.remove(&(seq, src_pos(i)));
+                                self.pending_q.remove(replica_key(seq, src_pos(i)));
                                 consumed += 1;
                             }
                             touched = true;
@@ -688,7 +739,7 @@ impl TaintEngine {
         // walks did not consume.
         deferred += queued - consumed;
         #[cfg(debug_assertions)]
-        for &(seq, _pos) in &self.pending_q {
+        for (seq, _pos) in self.pending_q.iter().map(replica_of) {
             let slot = self.slots.get(seq).expect("pending_q references a live slot");
             let phys = if _pos == DEST_POS {
                 slot.dest.as_ref().expect("pending dest replica exists").phys
@@ -1181,6 +1232,26 @@ mod tests {
         for i in 0..=n {
             assert!(e.reg_taint(i).is_clear());
         }
+    }
+
+    /// A public register is never broadcast and, while it is not
+    /// reallocated, never recycled, so no walk ever compacts its dependent
+    /// list: the push-side compaction must keep it bounded by the live
+    /// readers instead of by every reader it ever had.
+    #[test]
+    fn reading_a_public_register_keeps_its_dependent_list_bounded() {
+        let mut e = full();
+        e.rename(ri(1, InstClass::Const, &[], Some(1)));
+        assert!(e.reg_taint(1).is_clear());
+        e.retire(1);
+        for seq in 2..10_002 {
+            e.rename(ri(seq, InstClass::Store, &[(1, Address)], None));
+            e.retire(seq);
+            e.step();
+        }
+        let len = e.deps[1].seqs.len();
+        assert!(len <= DepList::MIN_COMPACT, "10 000 reads left {len} entries");
+        assert!(e.live_slots() <= usize::from(TaintEngine::RETIRE_GRACE) + 1);
     }
 }
 

@@ -1,9 +1,13 @@
 //! Global history register.
 
+use crate::tage::Tage;
+
 /// A 256-bit global branch-history shift register.
 ///
-/// Bit 0 is the most recent outcome. Provides the folded-hash views used to
-/// index and tag TAGE tables.
+/// Bit 0 is the most recent outcome. Besides the raw bits it carries the
+/// folded views TAGE indexes and tags with ([`Ghr::FOLDS`]), updated on
+/// every [`Ghr::push`] in O(1) instead of refolded per prediction.
+/// [`Ghr::fold`] computes any fold from scratch and is their reference.
 ///
 /// # Example
 ///
@@ -19,6 +23,10 @@
 pub struct Ghr {
     words: [u64; Self::WORDS],
     len: u32,
+    /// `fold(h, o)` for each `(h, o)` in [`Ghr::FOLDS`], kept current by
+    /// `push`. They are a function of `words`, so they ride along in every
+    /// clone, checkpoint and restore.
+    folded: [u16; Self::FOLDS.len()],
 }
 
 impl Ghr {
@@ -26,13 +34,37 @@ impl Ghr {
     /// Capacity in bits.
     pub const BITS: u32 = 256;
 
+    /// The `(hist_bits, out_bits)` folds kept incrementally: for each TAGE
+    /// table `t`, entry `2t` folds its history to the index (and first tag
+    /// hash) width and entry `2t + 1` to the second tag hash width.
+    pub const FOLDS: [(u32, u32); 2 * Tage::TABLES] = {
+        let mut folds = [(0, 0); 2 * Tage::TABLES];
+        let mut t = 0;
+        while t < Tage::TABLES {
+            folds[2 * t] = (Tage::HIST_LENS[t], Tage::TABLE_BITS);
+            folds[2 * t + 1] = (Tage::HIST_LENS[t], Tage::TAG_BITS - 1);
+            t += 1;
+        }
+        folds
+    };
+
     /// Creates an empty (all-zero) history.
     pub fn new() -> Ghr {
-        Ghr { words: [0; Self::WORDS], len: 0 }
+        Ghr { words: [0; Self::WORDS], len: 0, folded: [0; Self::FOLDS.len()] }
     }
 
     /// Shifts in a new outcome as bit 0.
     pub fn push(&mut self, taken: bool) {
+        // Circular-shift update of each fold: history bit `i` lands on fold
+        // bit `i mod o`, so shifting the history rotates the fold by one,
+        // the new outcome enters at bit 0 and the outgoing bit `h - 1`
+        // (read before the shift) leaves from bit `h mod o`.
+        for (f, &(h, o)) in self.folded.iter_mut().zip(Self::FOLDS.iter()) {
+            let c = u32::from(*f);
+            let rotated = ((c << 1) | (c >> (o - 1))) & ((1 << o) - 1);
+            let outgoing = (self.words[((h - 1) / 64) as usize] >> ((h - 1) % 64)) as u32 & 1;
+            *f = (rotated ^ taken as u32 ^ (outgoing << (h % o))) as u16;
+        }
         let mut carry = taken as u64;
         for w in &mut self.words {
             let out = *w >> 63;
@@ -62,8 +94,19 @@ impl Ghr {
         self.len == 0
     }
 
+    /// The incrementally kept fold `k`: equal to `fold(h, o)` for
+    /// `(h, o) = Ghr::FOLDS[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= Ghr::FOLDS.len()`.
+    pub fn folded(&self, k: usize) -> u32 {
+        u32::from(self.folded[k])
+    }
+
     /// Folds the most recent `hist_bits` of history into `out_bits` bits by
-    /// XOR-folding, for TAGE index/tag computation.
+    /// XOR-folding: history bit `i` lands on output bit `i mod out_bits`.
+    /// This is the from-scratch reference for [`Ghr::folded`].
     ///
     /// # Panics
     ///

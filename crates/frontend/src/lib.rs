@@ -196,7 +196,6 @@ impl Frontend {
         if inst.is_indirect() && !matches!(inst, Inst::Ret { .. }) {
             self.btb.update(pc, target);
         }
-        let _ = taken;
     }
 
     /// Rewinds speculative state to `cp` (taken before the mispredicted

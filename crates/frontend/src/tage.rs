@@ -46,9 +46,11 @@ pub struct Tage {
 impl Tage {
     /// Number of tagged components.
     pub const TABLES: usize = 4;
-    const HIST_LENS: [u32; Self::TABLES] = [8, 16, 44, 130];
-    const TABLE_BITS: u32 = 10; // 1024 entries
-    const TAG_BITS: u32 = 10;
+    pub(crate) const HIST_LENS: [u32; Self::TABLES] = [8, 16, 44, 130];
+    pub(crate) const TABLE_BITS: u32 = 10; // 1024 entries
+    /// Equal to `TABLE_BITS`, so one folded register serves the index and
+    /// the first tag hash.
+    pub(crate) const TAG_BITS: u32 = Self::TABLE_BITS;
     const BIM_BITS: u32 = 12; // 4096 entries
     const U_DECAY_PERIOD: u64 = 1 << 18;
 
@@ -66,14 +68,17 @@ impl Tage {
         (pc as usize) & ((1 << Self::BIM_BITS) - 1)
     }
 
+    // Fold `2 * table` is the table's history folded to `TABLE_BITS`
+    // (= `TAG_BITS`) and fold `2 * table + 1` to `TAG_BITS - 1`; see
+    // `Ghr::FOLDS`.
     fn index(pc: u64, ghr: &Ghr, table: usize) -> usize {
-        let h = ghr.fold(Self::HIST_LENS[table], Self::TABLE_BITS);
+        let h = ghr.folded(2 * table);
         ((pc as u32) ^ (pc as u32 >> Self::TABLE_BITS) ^ h) as usize & ((1 << Self::TABLE_BITS) - 1)
     }
 
     fn tag(pc: u64, ghr: &Ghr, table: usize) -> u16 {
-        let h1 = ghr.fold(Self::HIST_LENS[table], Self::TAG_BITS);
-        let h2 = ghr.fold(Self::HIST_LENS[table], Self::TAG_BITS - 1) << 1;
+        let h1 = ghr.folded(2 * table);
+        let h2 = ghr.folded(2 * table + 1) << 1;
         (((pc as u32) ^ h1 ^ h2) & ((1 << Self::TAG_BITS) - 1)) as u16
     }
 
@@ -89,6 +94,10 @@ impl Tage {
 
     /// Predicts the direction of the branch at `pc` under history `ghr`.
     pub fn predict(&self, pc: u64, ghr: &Ghr) -> (bool, PredictInfo) {
+        #[cfg(debug_assertions)]
+        for (k, &(h, o)) in Ghr::FOLDS.iter().enumerate() {
+            debug_assert_eq!(ghr.folded(k), ghr.fold(h, o), "folded history ({h}, {o}) drifted");
+        }
         let mut indices = [0usize; Self::TABLES];
         let mut tags = [0u16; Self::TABLES];
         for t in 0..Self::TABLES {
@@ -169,12 +178,15 @@ impl Tage {
             let start = info.provider.map_or(0, |t| t + 1);
             if start < Self::TABLES {
                 // Find candidates with useful == 0.
-                let mut candidates = Vec::new();
+                let mut candidates = [0usize; Self::TABLES];
+                let mut n = 0;
                 for t in start..Self::TABLES {
                     if self.tables[t][info.indices[t]].useful == 0 {
-                        candidates.push(t);
+                        candidates[n] = t;
+                        n += 1;
                     }
                 }
+                let candidates = &candidates[..n];
                 if candidates.is_empty() {
                     // Decay usefulness of all would-be victims.
                     for t in start..Self::TABLES {

@@ -6,7 +6,9 @@
 //! squash (the frontend recovers the RAS and GHR by restoring a clone
 //! taken at the checkpointed branch).
 
-use spt_frontend::{Btb, Ghr, Ras, Tage};
+use proptest::prelude::*;
+use spt_frontend::{Btb, Frontend, Ghr, Ras, Tage};
+use spt_isa::{BranchCond, Inst, Reg};
 
 #[test]
 fn ghr_tracks_and_folds_recent_history() {
@@ -157,4 +159,82 @@ fn btb_direct_mapped_aliasing() {
 
     btb.update(a, 0x3333);
     assert_eq!(btb.lookup(a), Some(0x3333), "re-training restores the mapping");
+}
+
+/// One step of a random frontend drive.
+#[derive(Clone, Debug)]
+enum FeOp {
+    /// Predict a conditional branch at this pc, then train it with the
+    /// given outcome.
+    Branch(u64, bool),
+    /// Take a checkpoint (kept on a stack of up to eight).
+    Checkpoint,
+    /// Restore the checkpoint this many entries down the stack.
+    Restore(usize),
+    /// Recover a mispredicted branch at this pc with this outcome from the
+    /// checkpoint this many entries down the stack.
+    Recover(usize, u64, bool),
+}
+
+fn fe_op() -> impl Strategy<Value = FeOp> {
+    prop_oneof![
+        (0u64..64, any::<bool>()).prop_map(|(pc, t)| FeOp::Branch(pc, t)),
+        (0u64..64, any::<bool>()).prop_map(|(pc, t)| FeOp::Branch(pc, t)),
+        (0u64..64, any::<bool>()).prop_map(|(pc, t)| FeOp::Branch(pc, t)),
+        Just(FeOp::Checkpoint),
+        (0usize..8).prop_map(FeOp::Restore),
+        (0usize..8, 0u64..64, any::<bool>()).prop_map(|(k, pc, t)| FeOp::Recover(k, pc, t)),
+    ]
+}
+
+proptest! {
+    /// The folded history registers TAGE reads equal a from-scratch
+    /// `Ghr::fold` after every predict, checkpoint, restore and recover,
+    /// including across the 130-bit longest history and the 256-bit
+    /// saturation of the register.
+    #[test]
+    fn folded_history_matches_refold_through_squashes(
+        ops in proptest::collection::vec(fe_op(), 1..800)
+    ) {
+        let mut fe = Frontend::new();
+        let mut checkpoints = vec![fe.checkpoint()];
+        for op in ops {
+            match op {
+                FeOp::Branch(pc, taken) => {
+                    let br = Inst::Branch {
+                        cond: BranchCond::Ne,
+                        rs1: Reg::R1,
+                        rs2: Reg::R0,
+                        target: pc as u32 + 5,
+                    };
+                    let p = fe.predict(pc, &br);
+                    fe.train(pc, &br, taken, pc + 5, p.info.as_ref());
+                }
+                FeOp::Checkpoint => {
+                    if checkpoints.len() == 8 {
+                        checkpoints.remove(0);
+                    }
+                    checkpoints.push(fe.checkpoint());
+                }
+                FeOp::Restore(k) => {
+                    let cp = &checkpoints[checkpoints.len() - 1 - k % checkpoints.len()];
+                    fe.restore(cp);
+                }
+                FeOp::Recover(k, pc, taken) => {
+                    let br = Inst::Branch {
+                        cond: BranchCond::Eq,
+                        rs1: Reg::R2,
+                        rs2: Reg::R0,
+                        target: pc as u32 + 9,
+                    };
+                    let cp = &checkpoints[checkpoints.len() - 1 - k % checkpoints.len()];
+                    fe.recover(cp, pc, &br, taken);
+                }
+            }
+            let ghr = fe.ghr();
+            for (k, &(h, o)) in Ghr::FOLDS.iter().enumerate() {
+                prop_assert_eq!(ghr.folded(k), ghr.fold(h, o), "fold ({}, {})", h, o);
+            }
+        }
+    }
 }

@@ -846,12 +846,12 @@ impl Machine {
             self.sched.ok_count = self.sched.ok_count.saturating_sub(1);
             self.sched.vp_len = self.sched.vp_len.saturating_sub(1);
             if head.is_load() {
-                self.sched.loads.remove(&seq);
-                self.sched.fwd_loads.remove(&seq);
-                self.sched.shadow_wait.remove(&seq);
+                self.sched.loads.remove(seq);
+                self.sched.fwd_loads.remove(seq);
+                self.sched.shadow_wait.remove(seq);
             }
             if head.is_store() {
-                self.sched.stores.remove(&seq);
+                self.sched.stores.remove(seq);
             }
             self.emit_inst(&head, Some(self.cycle), None);
             if let Some(t) = &mut self.telemetry {
@@ -972,7 +972,7 @@ impl Machine {
         // Forwarded loads, oldest first (the scheduler tracks them).
         let mut snapshot = std::mem::take(&mut self.sched.stl_snapshot);
         snapshot.clear();
-        snapshot.extend(self.sched.fwd_loads.iter().copied());
+        snapshot.extend(self.sched.fwd_loads.iter());
 
         for &l_seq in &snapshot {
             let i = self.rob_pos.get(l_seq).expect("tracked forwarded load is in the ROB");
@@ -988,7 +988,7 @@ impl Machine {
                 // has a public address. Stores that already retired reached
                 // their VP, which declassified their addresses.
                 let stores_public =
-                    self.sched.stores.range(s_seq..l_seq).all(|&s| engine.leak_operands_clear(s));
+                    self.sched.stores.range(s_seq..l_seq).all(|s| engine.leak_operands_clear(s));
                 load_addr_public && stores_public
             };
             let stl = Some(if public { StlCondition::public() } else { StlCondition::pending(1) });
@@ -1035,7 +1035,7 @@ impl Machine {
             // them to `shadow_wait`); they wait here until they reach the
             // VP and their output untaints, or leave the ROB.
             snapshot.clear();
-            snapshot.extend(self.sched.shadow_wait.iter().copied());
+            snapshot.extend(self.sched.shadow_wait.iter());
             for &seq in &snapshot {
                 let i = self.rob_index(seq).expect("tracked load is in the ROB");
                 let e = &self.rob[i];
@@ -1052,7 +1052,7 @@ impl Machine {
                     let phys = e.dest.map(|(_, p, _)| p);
                     self.shadow.clear_range(addr, bytes);
                     self.rob[i].mem.range_cleared = true;
-                    self.sched.shadow_wait.remove(&seq);
+                    self.sched.shadow_wait.remove(seq);
                     self.progress = true;
                     if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
                         v.on_mem_inferable(addr, bytes, p);
@@ -1099,6 +1099,9 @@ impl Machine {
             let result = if is_load { self.rob[i].mem.value } else { self.rob[i].result };
             self.rob[i].state = ExecState::Done;
             self.rob[i].timing.complete_cycle = Some(self.cycle);
+            if self.rob[i].inst.is_control_flow() && !self.rob[i].resolved {
+                self.sched.resolvable_cf.insert(seq);
+            }
             if let Some((_, phys, _)) = dest {
                 self.rf.write(phys, result);
                 self.wake_dependents(phys);
@@ -1192,21 +1195,21 @@ impl Machine {
     /// Returns whether a squash happened.
     fn resolve_branches(&mut self, snapshot: &mut Vec<Seq>) -> bool {
         snapshot.clear();
-        snapshot.extend(self.sched.unresolved_cf.iter().copied());
+        snapshot.extend(self.sched.resolvable_cf.iter());
         for &seq in snapshot.iter() {
             let i = self.rob_index(seq).expect("tracked control flow is in the ROB");
             let e = &self.rob[i];
-            debug_assert!(e.inst.is_control_flow() && !e.resolved);
-            if e.state != ExecState::Done {
-                continue;
-            }
+            debug_assert!(
+                e.inst.is_control_flow() && !e.resolved && e.state == ExecState::Done,
+                "only completed, unresolved control flow is resolvable"
+            );
             if !self.protection.leak_allowed(e) {
                 self.note_resolution_deferred(i);
                 continue;
             }
             let e = &mut self.rob[i];
             e.resolved = true;
-            self.sched.unresolved_cf.remove(&seq);
+            self.sched.resolvable_cf.remove(seq);
             self.progress = true;
             let actual = e.actual_next.expect("executed control flow has a target");
             if actual != e.pred_next {
@@ -1236,7 +1239,7 @@ impl Machine {
     /// reached the VP. Returns whether a squash happened.
     fn resolve_violations(&mut self, snapshot: &mut Vec<Seq>) -> bool {
         snapshot.clear();
-        snapshot.extend(self.sched.pending_viol.iter().copied());
+        snapshot.extend(self.sched.pending_viol.iter());
         for &seq in snapshot.iter() {
             let i = self.rob_index(seq).expect("tracked store is in the ROB");
             let e = &self.rob[i];
@@ -1248,7 +1251,7 @@ impl Machine {
             self.progress = true;
             let Some(vi) = self.rob_index(victim_seq) else {
                 self.rob[i].mem.pending_violation = None;
-                self.sched.pending_viol.remove(&seq);
+                self.sched.pending_viol.remove(seq);
                 continue;
             };
             let victim = &self.rob[vi];
@@ -1256,7 +1259,7 @@ impl Machine {
             let cp = victim.checkpoint.clone();
             self.squash_after(victim_seq - 1);
             self.rob[i].mem.pending_violation = None;
-            self.sched.pending_viol.remove(&seq);
+            self.sched.pending_viol.remove(seq);
             self.fe.restore(&cp);
             self.fetch_pc = pc;
             self.fetch_stalled = false;
@@ -1299,12 +1302,12 @@ impl Machine {
         // wakeup lists shed squashed seqs lazily).
         let mut snapshot = std::mem::take(&mut self.sched.squash_snapshot);
         snapshot.clear();
-        snapshot.extend(self.sched.pending_viol.iter().copied());
+        snapshot.extend(self.sched.pending_viol.iter());
         for &s in &snapshot {
             let i = self.rob_index(s).expect("tracked store is in the ROB");
             if self.rob[i].mem.pending_violation.is_some_and(|v| v > seq) {
                 self.rob[i].mem.pending_violation = None;
-                self.sched.pending_viol.remove(&s);
+                self.sched.pending_viol.remove(s);
             }
         }
         snapshot.clear();
@@ -1332,7 +1335,7 @@ impl Machine {
         // protection gate stay queued and retry next cycle.
         let mut snapshot = std::mem::take(&mut self.sched.ready_snapshot);
         snapshot.clear();
-        snapshot.extend(self.sched.ready.iter().copied());
+        snapshot.extend(self.sched.ready.iter());
         for &seq in &snapshot {
             if issued >= self.core.issue_width {
                 break;
@@ -1448,7 +1451,7 @@ impl Machine {
         e.in_rs = false;
         let (seq, done_at) = (e.seq, e.done_at);
         self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
+        self.sched.ready.remove(seq);
         self.sched.completions.push(Reverse((done_at, seq)));
     }
 
@@ -1457,7 +1460,7 @@ impl Machine {
     /// fully covers the load and forwards its data; `Some(None)`: no store
     /// with a known address overlaps it; `None`: a partial overlap.
     fn store_forward(&self, seq: Seq, addr: u64, bytes: u64) -> Option<Option<(Seq, u64)>> {
-        for &s_seq in self.sched.stores.range(..seq).rev() {
+        for s_seq in self.sched.stores.range(..seq).rev() {
             let j = self.rob_index(s_seq).expect("tracked store is in the ROB");
             let s = &self.rob[j];
             let Some(sa) = s.mem.addr else { continue }; // unknown address: speculate no-alias
@@ -1538,7 +1541,7 @@ impl Machine {
         e.timing.issue_cycle = Some(self.cycle);
         e.in_rs = false;
         self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
+        self.sched.ready.remove(seq);
         self.sched.completions.push(Reverse((done_at, seq)));
         if fwd_from.is_some() {
             self.sched.fwd_loads.insert(seq);
@@ -1583,7 +1586,7 @@ impl Machine {
         e.timing.issue_cycle = Some(self.cycle);
         e.in_rs = false;
         self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
+        self.sched.ready.remove(seq);
         self.sched.completions.push(Reverse((done_at, seq)));
         if forward.is_some() {
             self.sched.fwd_loads.insert(seq);
@@ -1603,7 +1606,7 @@ impl Machine {
         // Memory-order violation check: younger loads that already executed
         // with data not sourced from this store.
         let mut victim: Option<Seq> = None;
-        for &l_seq in self.sched.loads.range(seq + 1..) {
+        for l_seq in self.sched.loads.range(seq + 1..) {
             let k = self.rob_index(l_seq).expect("tracked load is in the ROB");
             let l = &self.rob[k];
             if l.state == ExecState::Waiting || !l.mem.accessed {
@@ -1639,7 +1642,7 @@ impl Machine {
             self.sched.pending_viol.insert(seq);
         }
         self.rs_used -= 1;
-        self.sched.ready.remove(&seq);
+        self.sched.ready.remove(seq);
         self.sched.completions.push(Reverse((done_at, seq)));
     }
 
@@ -1757,9 +1760,6 @@ impl Machine {
             if entry.is_store() {
                 self.sq_used += 1;
                 self.sched.stores.insert(seq);
-            }
-            if entry.inst.is_control_flow() && !entry.resolved {
-                self.sched.unresolved_cf.insert(seq);
             }
             self.rs_used += 1;
             self.rob_pos.push(entry.seq);

@@ -19,10 +19,13 @@
 //!   processing so same-cycle completions apply in age order (the shadow
 //!   read-mask vs. clear-range ordering is observable).
 //! * Age-ordered index sets ([`Scheduler::stores`], [`Scheduler::loads`],
-//!   [`Scheduler::unresolved_cf`], [`Scheduler::pending_viol`],
+//!   [`Scheduler::resolvable_cf`], [`Scheduler::pending_viol`],
 //!   [`Scheduler::fwd_loads`], [`Scheduler::shadow_wait`]) so the LSQ
 //!   searches, branch/violation resolution and the §6.7/§6.8 passes visit
 //!   only candidate entries, still in the original scan order.
+//!   `resolvable_cf` holds only *completed* unresolved control flow:
+//!   writeback adds a branch when it becomes `Done`, so branch resolution
+//!   never visits one still waiting to execute.
 //! * The visibility-point cursor ([`Scheduler::ok_count`],
 //!   [`Scheduler::vp_len`]). Per-entry "self-ok" (see
 //!   `Machine::update_vp`) is monotone — once an entry stops blocking
@@ -30,6 +33,13 @@
 //!   survives squashes (only younger entries are removed) and retirement
 //!   (head entries leave the prefix), so a persistent cursor replaces the
 //!   full walk.
+//!
+//! Every age-ordered set, the ready queue included, is a
+//! [`spt_util::SeqSet`]: a bitset over the in-flight window of sequence
+//! numbers. Insert, remove and membership are one word update, iteration
+//! walks words in seq order (skipping squash holes 64 seqs at a time), and
+//! a squash truncates the suffix, so each rename, issue, retire and squash
+//! costs O(1) per set it touches.
 //!
 //! Everything here is bookkeeping over `Seq` values; the ROB entries stay
 //! the single source of truth. Lists tolerate stale seqs (squashed
@@ -40,8 +50,9 @@
 //! scheduler.
 
 use spt_core::{PhysReg, Seq};
+use spt_util::SeqSet;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Scheduler-side index structures (see module docs). Owned by `Machine`;
 /// the pipeline stages keep them in sync with the ROB.
@@ -53,23 +64,24 @@ pub(crate) struct Scheduler {
     /// to squashed consumers of its previous life).
     pub waiters: Vec<Vec<Seq>>,
     /// Dispatched entries whose operands are all ready, in age order.
-    pub ready: BTreeSet<Seq>,
+    pub ready: SeqSet,
     /// `(done_at, seq)` for issued, not yet written-back entries. Entries
     /// for squashed instructions are skipped lazily on pop.
     pub completions: BinaryHeap<Reverse<(u64, Seq)>>,
-    /// Control-flow entries whose resolution effects are still pending.
-    pub unresolved_cf: BTreeSet<Seq>,
+    /// Completed control-flow entries whose resolution effects are still
+    /// pending (writeback adds them; resolution removes them).
+    pub resolvable_cf: SeqSet,
     /// Stores carrying a deferred memory-order violation (§6.7).
-    pub pending_viol: BTreeSet<Seq>,
+    pub pending_viol: SeqSet,
     /// Stores currently in the ROB (store-queue searches).
-    pub stores: BTreeSet<Seq>,
+    pub stores: SeqSet,
     /// Loads currently in the ROB (violation searches).
-    pub loads: BTreeSet<Seq>,
+    pub loads: SeqSet,
     /// Loads that received store-to-load forwarded data (§6.7 pass).
-    pub fwd_loads: BTreeSet<Seq>,
+    pub fwd_loads: SeqSet,
     /// Completed non-forwarded loads awaiting the post-hoc §6.8 rule-②
     /// shadow clear (only populated when that pass can ever run).
-    pub shadow_wait: BTreeSet<Seq>,
+    pub shadow_wait: SeqSet,
     /// Visibility-point cursor: number of leading ROB entries that were
     /// "self-ok" as of the last `update_vp` (monotone per entry).
     pub ok_count: usize,
@@ -94,13 +106,17 @@ impl Scheduler {
     /// Drops every tracked seq `>= first` (a squash removed them from the
     /// ROB). The completion heap and the wakeup lists are cleaned lazily.
     pub fn squash_from(&mut self, first: Seq) {
-        let _ = self.ready.split_off(&first);
-        let _ = self.unresolved_cf.split_off(&first);
-        let _ = self.pending_viol.split_off(&first);
-        let _ = self.stores.split_off(&first);
-        let _ = self.loads.split_off(&first);
-        let _ = self.fwd_loads.split_off(&first);
-        let _ = self.shadow_wait.split_off(&first);
+        for set in [
+            &mut self.ready,
+            &mut self.resolvable_cf,
+            &mut self.pending_viol,
+            &mut self.stores,
+            &mut self.loads,
+            &mut self.fwd_loads,
+            &mut self.shadow_wait,
+        ] {
+            set.truncate_from(first);
+        }
     }
 }
 
@@ -195,7 +211,7 @@ mod tests {
         let mut s = Scheduler::new(8);
         for seq in [1u64, 5, 9] {
             s.ready.insert(seq);
-            s.unresolved_cf.insert(seq);
+            s.resolvable_cf.insert(seq);
             s.pending_viol.insert(seq);
             s.stores.insert(seq);
             s.loads.insert(seq);
@@ -205,14 +221,14 @@ mod tests {
         s.squash_from(5);
         for set in [
             &s.ready,
-            &s.unresolved_cf,
+            &s.resolvable_cf,
             &s.pending_viol,
             &s.stores,
             &s.loads,
             &s.fwd_loads,
             &s.shadow_wait,
         ] {
-            assert_eq!(set.iter().copied().collect::<Vec<_>>(), vec![1]);
+            assert_eq!(set.iter().collect::<Vec<_>>(), vec![1]);
         }
     }
 

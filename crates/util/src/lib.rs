@@ -2,7 +2,8 @@
 //! deterministic worker pool every sweep and fuzz driver fans out over
 //! ([`run_indexed`]), a tiny platform-independent folding digest
 //! ([`Fnv64`]) used to summarize attacker-observable microarchitectural
-//! state, and the observability substrate — a hand-rolled [`Json`] tree
+//! state, the windowed bitset [`SeqSet`] behind the pipeline's in-flight
+//! sequence-number indices, and the observability substrate — a hand-rolled [`Json`] tree
 //! (the workspace is offline, so no serde), telemetry [`Histogram`]s, and
 //! the [`TraceSink`] pipeline-trace plumbing with its gem5
 //! O3PipeView-compatible emitter.
@@ -16,12 +17,14 @@ pub mod digest;
 pub mod hist;
 pub mod json;
 pub mod pool;
+pub mod seqset;
 pub mod trace;
 
 pub use digest::Fnv64;
 pub use hist::{Histogram, Log2Histogram};
 pub use json::{Json, JsonError};
 pub use pool::{default_jobs, run_indexed};
+pub use seqset::SeqSet;
 pub use trace::{
     parse_o3_trace, validate_o3_trace, InstRecord, MemorySink, O3PipeViewSink, O3TraceSummary,
     OwnedInstRecord, ParsedEvent, ParsedEventKind, ParsedTrace, SptTraceEvent, TraceHandle,
