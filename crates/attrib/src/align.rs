@@ -160,7 +160,6 @@ mod tests {
             issue_cycle: Some(seq + 2),
             complete_cycle: Some(seq + 3),
             retire_cycle: Some(seq + 4),
-            squash_cycle: None,
         }
     }
 
@@ -169,7 +168,6 @@ mod tests {
             issue_cycle: None,
             complete_cycle: None,
             retire_cycle: None,
-            squash_cycle: Some(seq + 2),
             ..retired_rec(seq, pc)
         }
     }

@@ -368,7 +368,7 @@ pub fn render_accounting(r: &AccountingReport) -> String {
 mod tests {
     use super::*;
     use crate::diff::diff_traces;
-    use spt_util::trace::{OwnedInstRecord, ParsedEvent, ParsedEventKind, ParsedTrace};
+    use spt_util::trace::{OwnedInstRecord, ParsedEvent, ParsedTrace, SptTraceEvent};
 
     fn rec(seq: u64, pc: u64, issue: u64, complete: u64, retire: u64) -> OwnedInstRecord {
         OwnedInstRecord {
@@ -380,7 +380,6 @@ mod tests {
             issue_cycle: Some(issue),
             complete_cycle: Some(complete),
             retire_cycle: Some(retire),
-            squash_cycle: None,
         }
     }
 
@@ -391,7 +390,7 @@ mod tests {
             events: vec![ParsedEvent {
                 cycle: 5,
                 after_block: 0,
-                kind: ParsedEventKind::TransmitterDelayed { seq: 1, pc: 0x40 },
+                event: SptTraceEvent::TransmitterDelayed { seq: 1, pc: 0x40 },
             }],
         };
         diff_traces(&a, &b)

@@ -23,7 +23,7 @@
 //! protection inserted).
 
 use crate::align::{align_retired, Alignment};
-use spt_util::trace::{OwnedInstRecord, ParsedEventKind, ParsedTrace};
+use spt_util::trace::{OwnedInstRecord, ParsedTrace, SptTraceEvent};
 use std::collections::{HashMap, HashSet};
 
 /// Why a slowed instruction lost cycles.
@@ -202,21 +202,21 @@ impl EventIndex {
             shadow_untaint_cycles: HashSet::new(),
         };
         for e in &t.events {
-            match &e.kind {
-                ParsedEventKind::TransmitterDelayed { seq, .. } => {
+            match &e.event {
+                SptTraceEvent::TransmitterDelayed { seq, .. } => {
                     *idx.xmit_by_seq.entry(*seq).or_insert(0) += 1;
                     idx.xmit_events.push((e.cycle, *seq));
                 }
-                ParsedEventKind::ResolutionDeferred { seq, .. } => {
+                SptTraceEvent::ResolutionDeferred { seq, .. } => {
                     *idx.defer_by_seq.entry(*seq).or_insert(0) += 1;
                     idx.defer_events.push((e.cycle, *seq));
                 }
-                ParsedEventKind::Untaint { mechanism, .. } => {
+                SptTraceEvent::Untaint { mechanism, .. } => {
                     if mechanism.starts_with("shadow") {
                         idx.shadow_untaint_cycles.insert(e.cycle);
                     }
                 }
-                ParsedEventKind::Taint { .. } => {}
+                SptTraceEvent::TaintDest { .. } => {}
             }
         }
         idx.xmit_events.sort_unstable();
@@ -362,19 +362,18 @@ mod tests {
             issue_cycle: Some(issue),
             complete_cycle: Some(complete),
             retire_cycle: Some(retire),
-            squash_cycle: None,
         }
     }
 
-    fn ev(cycle: u64, kind: ParsedEventKind) -> ParsedEvent {
-        ParsedEvent { cycle, after_block: 0, kind }
+    fn ev(cycle: u64, event: SptTraceEvent) -> ParsedEvent {
+        ParsedEvent { cycle, after_block: 0, event }
     }
 
     #[test]
     fn self_diff_is_all_zero() {
         let t = ParsedTrace {
             records: vec![rec(1, 0x40, 0, 3, 5, 8), rec(2, 0x44, 1, 4, 6, 9)],
-            events: vec![ev(3, ParsedEventKind::TransmitterDelayed { seq: 1, pc: 0x40 })],
+            events: vec![ev(3, SptTraceEvent::TransmitterDelayed { seq: 1, pc: 0x40 })],
         };
         let d = diff_traces(&t, &t);
         assert_eq!(d.total_delta, 0);
@@ -391,7 +390,7 @@ mod tests {
         let b = ParsedTrace {
             records: vec![rec(9, 0x40, 0, 7, 9, 11)],
             events: (2..7)
-                .map(|c| ev(c, ParsedEventKind::TransmitterDelayed { seq: 9, pc: 0x40 }))
+                .map(|c| ev(c, SptTraceEvent::TransmitterDelayed { seq: 9, pc: 0x40 }))
                 .collect(),
         };
         let d = diff_traces(&a, &b);
@@ -412,8 +411,8 @@ mod tests {
         let b = ParsedTrace {
             records: vec![rec(1, 0x40, 0, 7, 9, 11)],
             events: vec![
-                ev(6, ParsedEventKind::TransmitterDelayed { seq: 1, pc: 0x40 }),
-                ev(7, ParsedEventKind::Untaint { phys: 3, mechanism: "shadow-l1".into(), seq: 1 }),
+                ev(6, SptTraceEvent::TransmitterDelayed { seq: 1, pc: 0x40 }),
+                ev(7, SptTraceEvent::Untaint { phys: 3, mechanism: "shadow-l1".into(), seq: 1 }),
             ],
         };
         let d = diff_traces(&a, &b);
@@ -429,8 +428,8 @@ mod tests {
         let b = ParsedTrace {
             records: vec![rec(8, 0x44, 0, 2, 4, 12)],
             events: vec![
-                ev(5, ParsedEventKind::ResolutionDeferred { seq: 3, pc: 0x30 }),
-                ev(6, ParsedEventKind::ResolutionDeferred { seq: 3, pc: 0x30 }),
+                ev(5, SptTraceEvent::ResolutionDeferred { seq: 3, pc: 0x30 }),
+                ev(6, SptTraceEvent::ResolutionDeferred { seq: 3, pc: 0x30 }),
             ],
         };
         let d = diff_traces(&a, &b);

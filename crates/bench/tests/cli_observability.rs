@@ -2,7 +2,7 @@
 //! produce a Konata-loadable O3PipeView trace and an `spt-stats-v1` JSON
 //! document that round-trips through the `spt-util` parser.
 
-use spt_util::{validate_o3_trace, Json};
+use spt_util::{parse_o3_trace, Json};
 use std::process::Command;
 
 #[test]
@@ -41,7 +41,7 @@ fn run_spt_emits_valid_trace_and_stats_json() {
 
     // The trace parses as strict O3PipeView and covers the whole budget.
     let trace = std::fs::read_to_string(&trace_path).expect("trace written");
-    let summary = validate_o3_trace(&trace).expect("trace is well-formed O3PipeView");
+    let summary = parse_o3_trace(&trace).expect("trace is well-formed O3PipeView").summary();
     assert!(summary.retired >= 2000, "trace covers the retired budget");
     // `--trace` emits SPTEvent lines so the output is tracediff-ready; an
     // SPT config taints at least one destination register.

@@ -19,6 +19,13 @@
 //! integration tests check every workload produces bit-identical results
 //! on every Table-2 configuration and on the reference interpreter.
 //!
+//! Observation is opt-in and takes one path: a pipeline trace sink
+//! ([`Machine::set_trace_sink`]) and the [`Telemetry`] histograms
+//! ([`Machine::enable_telemetry`]) both live in the machine's one optional
+//! probe, next to the per-register taint-episode table they share. An
+//! unobserved run pays one null test per report site; an observed one
+//! runs the same cycles and leaves the same attacker-observation digest.
+//!
 //! # Example
 //!
 //! ```
@@ -46,16 +53,16 @@
 
 pub mod config;
 pub mod machine;
+mod probe;
 mod protection;
 pub mod rename;
 pub mod rob;
 mod sched;
 pub mod stats;
-pub mod telemetry;
 pub mod validate;
 
 pub use config::CoreConfig;
 pub use machine::{Machine, RunLimits};
+pub use probe::Telemetry;
 pub use stats::{MachineStats, RunOutcome, SimError, StopReason};
-pub use telemetry::Telemetry;
 pub use validate::SecurityValidator;

@@ -32,18 +32,18 @@
 //! module: leak operands untainted, or the entry at the VP.
 
 use crate::config::CoreConfig;
+use crate::probe::{Probe, Telemetry};
 use crate::protection::Protection;
 use crate::rename::RegisterFile;
 use crate::rob::{ExecState, RobEntry};
 use crate::sched::{RetiredLoadTable, Scheduler};
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
-use crate::telemetry::Telemetry;
 use crate::validate::SecurityValidator;
 use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
 use spt_frontend::{Checkpoint, FetchPrediction, Frontend, PredictInfo};
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
-use spt_util::{InstRecord, SptTraceEvent, TraceHandle, TraceSink};
+use spt_util::TraceSink;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -152,7 +152,7 @@ impl RunLimits {
 /// One delay counted in the current cycle, by ROB index: the record
 /// [`Machine::run`] replays for every cycle it fast-forwards over.
 #[derive(Clone, Copy, Debug)]
-enum DelayNote {
+pub(crate) enum DelayNote {
     /// A transmitter held back by the protection gate.
     Transmitter(usize),
     /// A branch resolution or violation squash deferred.
@@ -247,19 +247,11 @@ pub struct Machine {
     /// completion time is exactly what a contention/timing attacker
     /// measures). Folded into [`Machine::observation_digest`].
     transmit_obs: spt_util::Fnv64,
-    /// Pipeline trace probe: a null test when disabled, an O3PipeView (or
-    /// test) sink when attached. Never read by any stage, so it cannot
-    /// affect timing. Cloning the machine yields a disabled handle.
-    trace: TraceHandle,
-    /// Per-physical-register producer seq of the live taint episode, so
-    /// `Untaint` trace events can name the instruction whose output they
-    /// declassify. Written only when a trace sink is attached (grown
-    /// lazily from empty) and never read by any stage, so it cannot
-    /// affect timing.
-    taint_src: Vec<u64>,
-    /// Opt-in occupancy/latency histograms; one null test per cycle when
-    /// disabled.
-    telemetry: Option<Box<Telemetry>>,
+    /// The trace sink, telemetry and the taint episodes they read: one
+    /// null test per report site when nothing observes the run. Never read
+    /// by any stage, so it cannot affect timing. A clone keeps telemetry
+    /// but drops the sink.
+    probe: Option<Box<Probe>>,
     /// Set by every stage that changes machine state other than the delay
     /// counters; cleared at the start of each cycle. A cycle that ends
     /// with it clear is a fixed point (see [`Machine::fast_forward`]).
@@ -330,9 +322,7 @@ impl Machine {
             dtlb: Tlb::new(64, 4, 30),
             worst_mem_latency: 0,
             transmit_obs: spt_util::Fnv64::new(),
-            trace: TraceHandle::disabled(),
-            taint_src: Vec::new(),
-            telemetry: None,
+            probe: None,
             progress: false,
             delay_notes: Vec::new(),
             fast_forwarded: 0,
@@ -364,26 +354,29 @@ impl Machine {
     /// squashed instruction is reported to it, along with SPT taint/untaint
     /// and delay events. Replaces any previous sink.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = TraceHandle::new(sink);
+        self.probe_mut().sink = Some(sink);
     }
 
     /// Detaches and returns the trace sink, if one was attached. Callers
     /// should [`TraceSink::flush`] it to surface buffered I/O errors.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
+        self.probe.as_mut()?.sink.take()
     }
 
     /// Enables occupancy/latency telemetry from this point on.
     pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(Box::new(Telemetry::new(self.core.num_phys)));
-        }
+        self.probe_mut().enable_telemetry();
     }
 
     /// The telemetry histograms, if [`Machine::enable_telemetry`] was
     /// called.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.probe.as_ref()?.telemetry.as_ref()
+    }
+
+    fn probe_mut(&mut self) -> &mut Probe {
+        let num_phys = self.core.num_phys;
+        self.probe.get_or_insert_with(|| Box::new(Probe::new(num_phys)))
     }
 
     /// L1 instruction-cache statistics.
@@ -586,7 +579,7 @@ impl Machine {
         self.rename();
         self.fetch();
         self.drain_validator();
-        self.sample_telemetry(1);
+        self.sample_occupancy(1);
         self.cycle += 1;
     }
 
@@ -600,13 +593,17 @@ impl Machine {
 
     /// Records the per-cycle occupancy samples `n` times (once per cycle
     /// from the current one on, which must all share the same occupancy).
-    fn sample_telemetry(&mut self, n: u64) {
-        if let Some(t) = &mut self.telemetry {
-            t.rob_occupancy.record_n(self.rob.len() as u64, n);
-            t.rs_occupancy.record_n(self.rs_used as u64, n);
-            t.lq_occupancy.record_n(self.lq_used as u64, n);
-            t.sq_occupancy.record_n(self.sq_used as u64, n);
-            t.mshr_inflight.record_n(self.mem.l1().mshrs_in_flight(self.cycle) as u64, n);
+    fn sample_occupancy(&mut self, n: u64) {
+        if let Some(p) = &mut self.probe {
+            p.sample(n, || {
+                [
+                    self.rob.len() as u64,
+                    self.rs_used as u64,
+                    self.lq_used as u64,
+                    self.sq_used as u64,
+                    self.mem.l1().mshrs_in_flight(self.cycle) as u64,
+                ]
+            });
         }
     }
 
@@ -651,14 +648,10 @@ impl Machine {
         let res = self.delay_notes.len() as u64 - xmit;
         self.stats.transmitter_delay_cycles += xmit * n;
         self.stats.resolution_delay_cycles += res * n;
-        if self.trace.enabled() {
-            for cycle in now..target {
-                for k in 0..self.delay_notes.len() {
-                    self.trace_delay(self.delay_notes[k], cycle);
-                }
-            }
+        if let Some(p) = &mut self.probe {
+            p.delays(now..target, &self.delay_notes, &self.rob);
         }
-        self.sample_telemetry(n);
+        self.sample_occupancy(n);
         self.cycle = target;
         self.fast_forwarded += n;
     }
@@ -730,64 +723,23 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Trace emission
+    // Delay accounting
     // ------------------------------------------------------------------
 
-    /// Reports a departing instruction (retired or squashed) to the trace
-    /// sink. The disassembly string is only formatted when a sink is
-    /// attached.
-    fn emit_inst(&mut self, e: &RobEntry, retire_cycle: Option<u64>, squash_cycle: Option<u64>) {
-        if !self.trace.enabled() {
-            return;
-        }
-        let disasm = e.inst.to_string();
-        if let Some(sink) = self.trace.sink() {
-            sink.inst(&InstRecord {
-                seq: e.seq,
-                pc: e.pc,
-                disasm: &disasm,
-                fetch_cycle: e.timing.fetch_cycle,
-                rename_cycle: e.timing.rename_cycle,
-                issue_cycle: e.timing.issue_cycle,
-                complete_cycle: e.timing.complete_cycle,
-                retire_cycle,
-                squash_cycle,
-            });
-        }
-    }
-
-    /// Counts a transmitter-slot cycle blocked by the protection gate,
-    /// both globally and on the blocked instruction itself.
-    fn note_xmit_blocked(&mut self, i: usize) {
-        self.stats.transmitter_delay_cycles += 1;
-        self.rob[i].timing.xmit_delay_cycles += 1;
-        self.delay_notes.push(DelayNote::Transmitter(i));
-        self.trace_delay(DelayNote::Transmitter(i), self.cycle);
-    }
-
-    /// Counts a deferred branch-resolution cycle for the entry at ROB
-    /// index `i`.
-    fn note_resolution_deferred(&mut self, i: usize) {
-        self.stats.resolution_delay_cycles += 1;
-        self.delay_notes.push(DelayNote::Resolution(i));
-        self.trace_delay(DelayNote::Resolution(i), self.cycle);
-    }
-
-    /// Reports a delay note to the trace sink as happening at `cycle`.
-    fn trace_delay(&mut self, note: DelayNote, cycle: u64) {
-        if !self.trace.enabled() {
-            return;
-        }
-        let event = match note {
+    /// Counts one cycle of a protection delay: a transmitter blocked by the
+    /// gate (globally and on the instruction itself) or a deferred branch
+    /// resolution or violation squash.
+    fn note_delay(&mut self, note: DelayNote) {
+        match note {
             DelayNote::Transmitter(i) => {
-                SptTraceEvent::TransmitterDelayed { seq: self.rob[i].seq, pc: self.rob[i].pc }
+                self.stats.transmitter_delay_cycles += 1;
+                self.rob[i].timing.xmit_delay_cycles += 1;
             }
-            DelayNote::Resolution(i) => {
-                SptTraceEvent::ResolutionDeferred { seq: self.rob[i].seq, pc: self.rob[i].pc }
-            }
-        };
-        if let Some(sink) = self.trace.sink() {
-            sink.event(cycle, &event);
+            DelayNote::Resolution(_) => self.stats.resolution_delay_cycles += 1,
+        }
+        self.delay_notes.push(note);
+        if let Some(p) = &mut self.probe {
+            p.delays(self.cycle..self.cycle + 1, &[note], &self.rob);
         }
     }
 
@@ -853,11 +805,8 @@ impl Machine {
             if head.is_store() {
                 self.sched.stores.remove(seq);
             }
-            self.emit_inst(&head, Some(self.cycle), None);
-            if let Some(t) = &mut self.telemetry {
-                if head.inst.is_transmitter() {
-                    t.xmit_delay.record(head.timing.xmit_delay_cycles);
-                }
+            if let Some(p) = &mut self.probe {
+                p.retire(&head, self.cycle);
             }
             if head.inst.is_transmitter() {
                 self.transmit_obs.write_u64(head.pc);
@@ -929,22 +878,8 @@ impl Machine {
                     v.on_broadcast(phys, kind);
                 }
             }
-            if self.trace.enabled() || self.telemetry.is_some() {
-                for &(phys, kind) in &step.broadcasts {
-                    let cycle = self.cycle;
-                    // Producer seq of the episode being closed (0 when the
-                    // birth was never observed, e.g. sink attached late).
-                    let seq = self.taint_src.get(phys as usize).copied().unwrap_or(0);
-                    if let Some(sink) = self.trace.sink() {
-                        sink.event(
-                            cycle,
-                            &SptTraceEvent::Untaint { phys, mechanism: kind.label(), seq },
-                        );
-                    }
-                    if let Some(t) = &mut self.telemetry {
-                        t.on_untaint(phys, cycle);
-                    }
-                }
+            if let Some(p) = &mut self.probe {
+                p.untaint(self.cycle, &step.broadcasts);
             }
             if !matches!(self.prot.shadow, spt_core::ShadowMode::None) {
                 for &(phys, _) in &step.broadcasts {
@@ -1204,7 +1139,7 @@ impl Machine {
                 "only completed, unresolved control flow is resolvable"
             );
             if !self.protection.leak_allowed(e) {
-                self.note_resolution_deferred(i);
+                self.note_delay(DelayNote::Resolution(i));
                 continue;
             }
             let e = &mut self.rob[i];
@@ -1245,7 +1180,7 @@ impl Machine {
             let e = &self.rob[i];
             let Some(victim_seq) = e.mem.pending_violation else { continue };
             if !self.protection.leak_allowed(e) {
-                self.note_resolution_deferred(i);
+                self.note_delay(DelayNote::Resolution(i));
                 continue;
             }
             self.progress = true;
@@ -1277,12 +1212,11 @@ impl Machine {
                 break;
             }
             let e = self.rob.pop_back().expect("tail exists");
-            self.emit_inst(&e, None, Some(self.cycle));
+            if let Some(p) = &mut self.probe {
+                p.squash(&e);
+            }
             if let Some((arch, new, old)) = e.dest {
                 self.rf.rollback(arch, new, old);
-                if let Some(t) = &mut self.telemetry {
-                    t.on_squash_reg(new);
-                }
             }
             if e.in_rs {
                 self.rs_used -= 1;
@@ -1358,7 +1292,7 @@ impl Machine {
                             issued += 1;
                             mem_issued += 1;
                         } else {
-                            self.note_xmit_blocked(i);
+                            self.note_delay(DelayNote::Transmitter(i));
                         }
                         continue;
                     }
@@ -1372,7 +1306,7 @@ impl Machine {
                         continue;
                     }
                     if !self.protection.leak_allowed(&self.rob[i]) {
-                        self.note_xmit_blocked(i);
+                        self.note_delay(DelayNote::Transmitter(i));
                         continue;
                     }
                     self.issue_store(i);
@@ -1386,7 +1320,7 @@ impl Machine {
                         && self.prot.variable_time_transmitters
                         && !self.protection.leak_allowed(&self.rob[i])
                     {
-                        self.note_xmit_blocked(i);
+                        self.note_delay(DelayNote::Transmitter(i));
                         continue;
                     }
                     self.issue_alu(i);
@@ -1557,9 +1491,6 @@ impl Machine {
     fn try_issue_load_oblivious(&mut self, i: usize) -> bool {
         let e = &self.rob[i];
         debug_assert!(e.is_load());
-        if !self.srcs_ready(e) {
-            return false;
-        }
         let addr = self.effective_addr(e);
         let bytes = e.mem.bytes;
         let seq = e.seq;
@@ -1706,21 +1637,8 @@ impl Machine {
                     );
                 }
                 if !dest_taint.is_clear() {
-                    if let Some((_, new, _)) = dest {
-                        let cycle = self.cycle;
-                        if self.trace.enabled() {
-                            let idx = new as usize;
-                            if idx >= self.taint_src.len() {
-                                self.taint_src.resize(idx + 1, 0);
-                            }
-                            self.taint_src[idx] = seq;
-                        }
-                        if let Some(sink) = self.trace.sink() {
-                            sink.event(cycle, &SptTraceEvent::TaintDest { seq, phys: new });
-                        }
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_taint(new, cycle);
-                        }
+                    if let (Some((_, new, _)), Some(p)) = (dest, &mut self.probe) {
+                        p.taint(self.cycle, seq, new);
                     }
                 }
             }

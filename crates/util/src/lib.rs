@@ -26,7 +26,6 @@ pub use json::{Json, JsonError};
 pub use pool::{default_jobs, run_indexed};
 pub use seqset::SeqSet;
 pub use trace::{
-    parse_o3_trace, validate_o3_trace, InstRecord, MemorySink, O3PipeViewSink, O3TraceSummary,
-    OwnedInstRecord, ParsedEvent, ParsedEventKind, ParsedTrace, SptTraceEvent, TraceHandle,
-    TraceSink, TICKS_PER_CYCLE,
+    parse_o3_trace, InstRecord, O3PipeViewSink, O3TraceSummary, OwnedInstRecord, ParsedEvent,
+    ParsedTrace, SptTraceEvent, TraceSink, TICKS_PER_CYCLE,
 };

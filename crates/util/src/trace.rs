@@ -1,15 +1,16 @@
-//! Pipeline trace plumbing: the [`TraceSink`] trait, the cheap
-//! [`TraceHandle`] probe the simulator carries, a gem5
-//! O3PipeView-compatible emitter whose output loads directly in Konata —
-//! and the matching strict parser ([`parse_o3_trace`]) the attribution
-//! tooling (`spt-attrib`) builds on.
+//! Pipeline trace plumbing: the [`TraceSink`] trait the simulator's probe
+//! reports to, a gem5 O3PipeView-compatible emitter whose output loads
+//! directly in Konata — and the matching strict parser
+//! ([`parse_o3_trace`]) the attribution tooling (`spt-attrib`) builds on.
+//! A [`ParsedTrace`] is both what the parser returns and an in-memory
+//! sink, so a captured run and a parsed text trace compare with `==`.
 //!
-//! The design goal is *zero cost when disabled*: the machine carries a
-//! `TraceHandle` (an `Option<Box<dyn TraceSink>>` newtype) and checks
-//! `enabled()` — a null test — before formatting anything. Timestamps the
-//! sink needs are plain `u64` stores into the ROB entry that happen
-//! unconditionally; they never feed back into timing, so cycle counts and
-//! attacker-observation digests are bit-identical with tracing on or off.
+//! The design goal is *zero cost when disabled*: the machine holds its
+//! sink inside an optional probe and tests it for null before formatting
+//! anything. Timestamps the sink needs are plain `u64` stores into the ROB
+//! entry that happen unconditionally; they never feed back into timing, so
+//! cycle counts and attacker-observation digests are bit-identical with
+//! tracing on or off.
 //!
 //! # O3PipeView format
 //!
@@ -48,12 +49,15 @@
 //! Cycles in event lines are plain machine cycles (not ticks). Konata and
 //! gem5's own tooling key on the `O3PipeView:` prefix and skip foreign
 //! lines; strict consumers can drop them with `grep -v '^SPTEvent:'`.
+//! [`o3_event_line`] is the only writer of these lines, and
 //! [`parse_o3_trace`] understands both line families and preserves the
 //! interleaving, so emit → parse → [`ParsedTrace::reemit`] is
 //! byte-identical.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::io::{self, Write};
+use std::rc::Rc;
 
 /// Ticks per simulated cycle in emitted O3PipeView traces (gem5's 2 GHz
 /// default tick rate, which Konata's importer assumes).
@@ -82,27 +86,29 @@ pub struct InstRecord<'a> {
     pub complete_cycle: Option<u64>,
     /// Cycle it retired (`None` if squashed).
     pub retire_cycle: Option<u64>,
-    /// Cycle it was squashed (`None` if retired).
-    pub squash_cycle: Option<u64>,
 }
 
 /// SPT-specific events, emitted as they happen (not buffered per
-/// instruction).
+/// instruction), and read back from `SPTEvent:` lines by
+/// [`parse_o3_trace`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SptTraceEvent {
-    /// An instruction's destination register was born tainted.
+    /// `SPTEvent:taint:` — an instruction's destination register was born
+    /// tainted.
     TaintDest {
         /// Sequence number of the producing instruction.
         seq: u64,
         /// Physical register that became tainted.
         phys: u32,
     },
-    /// A physical register was untainted.
+    /// `SPTEvent:untaint:` — a physical register was untainted.
     Untaint {
         /// Physical register that became untainted.
         phys: u32,
-        /// Untaint mechanism label (e.g. `"fwd"`, `"shadow_l1"`).
-        mechanism: &'static str,
+        /// Untaint mechanism label (e.g. `"forward"`, `"shadow-l1"`):
+        /// borrowed from a static label when the machine emits it, owned
+        /// when parsed back from text.
+        mechanism: Cow<'static, str>,
         /// Sequence number of the instruction whose rename tainted `phys`
         /// (the producer of the taint episode that just ended); 0 when the
         /// birth was not observed (e.g. sink attached mid-run). Lets the
@@ -110,18 +116,19 @@ pub enum SptTraceEvent {
         /// instruction whose output it declassifies.
         seq: u64,
     },
-    /// A ready transmitter was held back this cycle because an operand was
-    /// still tainted.
+    /// `SPTEvent:xmit-delay:` — a ready transmitter was held back this
+    /// cycle because an operand was still tainted.
     TransmitterDelayed {
         /// Sequence number of the blocked transmitter.
         seq: u64,
         /// Its program counter.
         pc: u64,
     },
-    /// A resolved branch's squash/redirect was deferred because the branch
-    /// was still tainted.
+    /// `SPTEvent:resolve-defer:` — a resolved branch's squash/redirect (or
+    /// a store's pending violation squash) was deferred because it was
+    /// still tainted.
     ResolutionDeferred {
-        /// Sequence number of the deferred branch.
+        /// Sequence number of the deferred branch or store.
         seq: u64,
         /// Its program counter.
         pc: u64,
@@ -145,59 +152,17 @@ pub trait TraceSink {
     }
 }
 
-/// The probe the simulator carries: `None` when tracing is off.
-///
-/// This is a newtype rather than a bare `Option<Box<dyn TraceSink>>` so
-/// the machine can keep `#[derive(Clone, Debug)]`: cloning a machine
-/// yields a handle with tracing disabled (sinks own writers and are not
-/// duplicable), and `Debug` prints only the enabled flag.
-#[derive(Default)]
-pub struct TraceHandle(Option<Box<dyn TraceSink>>);
-
-impl TraceHandle {
-    /// A disabled handle (the default).
-    pub fn disabled() -> Self {
-        TraceHandle(None)
+/// A shared sink: the caller keeps a clone of the `Rc` and reads what the
+/// sink captured after the machine has consumed the boxed handle.
+impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
+    fn inst(&mut self, rec: &InstRecord<'_>) {
+        self.borrow_mut().inst(rec);
     }
-
-    /// Wraps a sink.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        TraceHandle(Some(sink))
+    fn event(&mut self, cycle: u64, ev: &SptTraceEvent) {
+        self.borrow_mut().event(cycle, ev);
     }
-
-    /// Whether a sink is attached. Callers gate all event formatting on
-    /// this so the disabled path is a single null test.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The sink, if attached.
-    #[inline]
-    pub fn sink(&mut self) -> Option<&mut (dyn TraceSink + '_)> {
-        match &mut self.0 {
-            Some(s) => Some(s.as_mut()),
-            None => None,
-        }
-    }
-
-    /// Detaches and returns the sink.
-    pub fn take(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.0.take()
-    }
-}
-
-impl fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("TraceHandle").field(&self.enabled()).finish()
-    }
-}
-
-impl Clone for TraceHandle {
-    /// Cloning a machine must not duplicate an output sink; the clone
-    /// starts with tracing disabled.
-    fn clone(&self) -> Self {
-        TraceHandle(None)
+    fn flush(&mut self) -> io::Result<()> {
+        self.borrow_mut().flush()
     }
 }
 
@@ -205,7 +170,7 @@ impl Clone for TraceHandle {
 /// [`O3PipeViewSink`] writes it (shared with [`ParsedTrace::reemit`] so
 /// round-tripping is byte-identical).
 pub fn o3_block(rec: &InstRecord<'_>) -> String {
-    use fmt::Write as _;
+    use std::fmt::Write as _;
     let tick = |c: u64| c * TICKS_PER_CYCLE;
     // fetch tick 0 is reserved-ish in viewers; the machine's first
     // fetch happens at cycle 0, so shift every stage by one cycle.
@@ -235,10 +200,11 @@ pub fn o3_block(rec: &InstRecord<'_>) -> String {
     out
 }
 
-/// Renders one `SPTEvent:` line (shared between the emitter and
-/// [`ParsedEvent::line`], so round-tripping is byte-identical).
+/// Renders one `SPTEvent:` line: the only writer of the format, shared by
+/// [`O3PipeViewSink`] and [`ParsedTrace::reemit`] so round-tripping is
+/// byte-identical.
 pub fn o3_event_line(cycle: u64, ev: &SptTraceEvent) -> String {
-    match *ev {
+    match ev {
         SptTraceEvent::TaintDest { seq, phys } => format!("SPTEvent:taint:{cycle}:{seq}:{phys}\n"),
         SptTraceEvent::Untaint { phys, mechanism, seq } => {
             format!("SPTEvent:untaint:{cycle}:{phys}:{mechanism}:{seq}\n")
@@ -303,18 +269,8 @@ impl<W: Write> TraceSink for O3PipeViewSink<W> {
     }
 }
 
-/// A sink that records everything in memory — for tests and programmatic
-/// trace inspection.
-#[derive(Default)]
-pub struct MemorySink {
-    /// Owned copies of every instruction record, in emission order.
-    pub insts: Vec<OwnedInstRecord>,
-    /// Every SPT event with its cycle, in emission order.
-    pub events: Vec<(u64, SptTraceEvent)>,
-}
-
 /// An [`InstRecord`] with an owned disassembly string.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OwnedInstRecord {
     /// See [`InstRecord::seq`].
     pub seq: u64,
@@ -332,8 +288,6 @@ pub struct OwnedInstRecord {
     pub complete_cycle: Option<u64>,
     /// See [`InstRecord::retire_cycle`].
     pub retire_cycle: Option<u64>,
-    /// See [`InstRecord::squash_cycle`].
-    pub squash_cycle: Option<u64>,
 }
 
 impl OwnedInstRecord {
@@ -348,7 +302,6 @@ impl OwnedInstRecord {
             issue_cycle: self.issue_cycle,
             complete_cycle: self.complete_cycle,
             retire_cycle: self.retire_cycle,
-            squash_cycle: self.squash_cycle,
         }
     }
 
@@ -358,34 +311,7 @@ impl OwnedInstRecord {
     }
 }
 
-impl MemorySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn inst(&mut self, rec: &InstRecord<'_>) {
-        self.insts.push(OwnedInstRecord {
-            seq: rec.seq,
-            pc: rec.pc,
-            disasm: rec.disasm.to_string(),
-            fetch_cycle: rec.fetch_cycle,
-            rename_cycle: rec.rename_cycle,
-            issue_cycle: rec.issue_cycle,
-            complete_cycle: rec.complete_cycle,
-            retire_cycle: rec.retire_cycle,
-            squash_cycle: rec.squash_cycle,
-        });
-    }
-
-    fn event(&mut self, cycle: u64, ev: &SptTraceEvent) {
-        self.events.push((cycle, ev.clone()));
-    }
-}
-
-/// Summary returned by [`validate_o3_trace`].
+/// Summary returned by [`ParsedTrace::summary`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct O3TraceSummary {
     /// Instruction record blocks (one `fetch` line each).
@@ -398,8 +324,7 @@ pub struct O3TraceSummary {
     pub events: u64,
 }
 
-/// One parsed `SPTEvent:` line (an [`SptTraceEvent`] with owned strings
-/// plus its position in the stream).
+/// One SPT event with its cycle and its position in the stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParsedEvent {
     /// Machine cycle the event occurred.
@@ -408,77 +333,24 @@ pub struct ParsedEvent {
     /// the emission interleaving so [`ParsedTrace::reemit`] is exact.
     pub after_block: u64,
     /// The event payload.
-    pub kind: ParsedEventKind,
+    pub event: SptTraceEvent,
 }
 
-/// Owned payload of a parsed `SPTEvent:` line. Field meanings mirror
-/// [`SptTraceEvent`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParsedEventKind {
-    /// `SPTEvent:taint:` — a destination register was born tainted.
-    Taint {
-        /// Producing instruction.
-        seq: u64,
-        /// Tainted physical register.
-        phys: u32,
-    },
-    /// `SPTEvent:untaint:` — a physical register was untainted.
-    Untaint {
-        /// Untainted physical register.
-        phys: u32,
-        /// Untaint mechanism label.
-        mechanism: String,
-        /// Producer seq of the ended taint episode (0 = unknown).
-        seq: u64,
-    },
-    /// `SPTEvent:xmit-delay:` — a ready transmitter was held this cycle.
-    TransmitterDelayed {
-        /// Blocked transmitter.
-        seq: u64,
-        /// Its program counter.
-        pc: u64,
-    },
-    /// `SPTEvent:resolve-defer:` — a branch's resolution was deferred.
-    ResolutionDeferred {
-        /// Deferred branch (or store with a pending violation).
-        seq: u64,
-        /// Its program counter.
-        pc: u64,
-    },
-}
-
-impl ParsedEvent {
-    /// Renders the line exactly as the emitter wrote it.
-    pub fn line(&self) -> String {
-        match &self.kind {
-            ParsedEventKind::Taint { seq, phys } => {
-                format!("SPTEvent:taint:{}:{seq}:{phys}\n", self.cycle)
-            }
-            ParsedEventKind::Untaint { phys, mechanism, seq } => {
-                format!("SPTEvent:untaint:{}:{phys}:{mechanism}:{seq}\n", self.cycle)
-            }
-            ParsedEventKind::TransmitterDelayed { seq, pc } => {
-                format!("SPTEvent:xmit-delay:{}:{seq}:0x{pc:016x}\n", self.cycle)
-            }
-            ParsedEventKind::ResolutionDeferred { seq, pc } => {
-                format!("SPTEvent:resolve-defer:{}:{seq}:0x{pc:016x}\n", self.cycle)
-            }
-        }
-    }
-}
-
-/// A fully parsed trace: instruction records in emission order plus every
-/// `SPTEvent:` line with its interleaving position.
+/// A trace held in memory: instruction records in emission order plus
+/// every SPT event with its interleaving position. [`parse_o3_trace`]
+/// builds one from text; as a [`TraceSink`] it captures a run directly,
+/// and the two agree exactly on traces written with
+/// [`O3PipeViewSink::with_events`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParsedTrace {
     /// Instruction records, in emission (retire/squash) order.
     pub records: Vec<OwnedInstRecord>,
-    /// Event lines, in emission order.
+    /// Events, in emission order.
     pub events: Vec<ParsedEvent>,
 }
 
 impl ParsedTrace {
-    /// Block/event counts, as [`validate_o3_trace`] reports them.
+    /// Instruction and event counts.
     pub fn summary(&self) -> O3TraceSummary {
         let retired = self.records.iter().filter(|r| r.retired()).count() as u64;
         O3TraceSummary {
@@ -496,18 +368,13 @@ impl ParsedTrace {
         let mut out = String::new();
         let mut ev = self.events.iter().peekable();
         for (i, rec) in self.records.iter().enumerate() {
-            while let Some(e) = ev.peek() {
-                if e.after_block <= i as u64 {
-                    out.push_str(&e.line());
-                    ev.next();
-                } else {
-                    break;
-                }
+            while let Some(e) = ev.next_if(|e| e.after_block <= i as u64) {
+                out.push_str(&o3_event_line(e.cycle, &e.event));
             }
             out.push_str(&o3_block(&rec.as_record()));
         }
         for e in ev {
-            out.push_str(&e.line());
+            out.push_str(&o3_event_line(e.cycle, &e.event));
         }
         out
     }
@@ -522,6 +389,26 @@ impl ParsedTrace {
     /// records).
     pub fn last_retire_cycle(&self) -> u64 {
         self.records.iter().filter_map(|r| r.retire_cycle).max().unwrap_or(0)
+    }
+}
+
+impl TraceSink for ParsedTrace {
+    fn inst(&mut self, rec: &InstRecord<'_>) {
+        self.records.push(OwnedInstRecord {
+            seq: rec.seq,
+            pc: rec.pc,
+            disasm: rec.disasm.to_string(),
+            fetch_cycle: rec.fetch_cycle,
+            rename_cycle: rec.rename_cycle,
+            issue_cycle: rec.issue_cycle,
+            complete_cycle: rec.complete_cycle,
+            retire_cycle: rec.retire_cycle,
+        });
+    }
+
+    fn event(&mut self, cycle: u64, ev: &SptTraceEvent) {
+        let after_block = self.records.len() as u64;
+        self.events.push(ParsedEvent { cycle, after_block, event: ev.clone() });
     }
 }
 
@@ -546,36 +433,34 @@ fn parse_event_line(rest: &str, lineno: usize, after_block: u64) -> Result<Parse
         let hex = s.strip_prefix("0x").ok_or_else(|| err(&format!("bad pc `{s}`")))?;
         u64::from_str_radix(hex, 16).map_err(|_| err(&format!("bad pc `{s}`")))
     };
-    let kind = match fields.first().copied() {
-        Some("taint") if fields.len() == 4 => ParsedEventKind::Taint {
+    let event = match fields.first().copied() {
+        Some("taint") if fields.len() == 4 => SptTraceEvent::TaintDest {
             seq: num(fields[2], "seq")?,
             phys: num(fields[3], "phys")? as u32,
         },
-        Some("untaint") if fields.len() == 5 => ParsedEventKind::Untaint {
+        Some("untaint") if fields.len() == 5 => SptTraceEvent::Untaint {
             phys: num(fields[2], "phys")? as u32,
-            mechanism: fields[3].to_string(),
+            mechanism: Cow::Owned(fields[3].to_string()),
             seq: num(fields[4], "seq")?,
         },
-        Some("xmit-delay") if fields.len() == 4 => ParsedEventKind::TransmitterDelayed {
-            seq: num(fields[2], "seq")?,
-            pc: pc_of(fields[3])?,
-        },
-        Some("resolve-defer") if fields.len() == 4 => ParsedEventKind::ResolutionDeferred {
-            seq: num(fields[2], "seq")?,
-            pc: pc_of(fields[3])?,
-        },
+        Some("xmit-delay") if fields.len() == 4 => {
+            SptTraceEvent::TransmitterDelayed { seq: num(fields[2], "seq")?, pc: pc_of(fields[3])? }
+        }
+        Some("resolve-defer") if fields.len() == 4 => {
+            SptTraceEvent::ResolutionDeferred { seq: num(fields[2], "seq")?, pc: pc_of(fields[3])? }
+        }
         _ => return Err(err("malformed SPTEvent record")),
     };
     let cycle = num(fields[1], "cycle")?;
-    Ok(ParsedEvent { cycle, after_block, kind })
+    Ok(ParsedEvent { cycle, after_block, event })
 }
 
 /// Strictly parses an O3PipeView trace (optionally with interleaved
-/// `SPTEvent:` lines) into instruction records and events.
+/// `SPTEvent:` lines) into instruction records and events;
+/// [`ParsedTrace::summary`] gives the block and event counts.
 ///
-/// Strictness matches the old inline validator and then some: every
-/// `O3PipeView:` line must belong to a well-formed 7-line record block
-/// (`fetch`, `decode`, `rename`, `dispatch`, `issue`, `complete`,
+/// Every `O3PipeView:` line must belong to a well-formed 7-line record
+/// block (`fetch`, `decode`, `rename`, `dispatch`, `issue`, `complete`,
 /// `retire`) with monotone non-decreasing ticks within a block (ignoring
 /// the 0 "never reached" marker), ticks must be positive multiples of
 /// [`TICKS_PER_CYCLE`], and `SPTEvent:` lines may only appear between
@@ -591,17 +476,7 @@ pub fn parse_o3_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut stage_idx = 0usize; // next expected stage within the block
     let mut last_tick = 0u64;
     // Fields of the block being assembled.
-    let mut cur = OwnedInstRecord {
-        seq: 0,
-        pc: 0,
-        disasm: String::new(),
-        fetch_cycle: 0,
-        rename_cycle: 0,
-        issue_cycle: None,
-        complete_cycle: None,
-        retire_cycle: None,
-        squash_cycle: None,
-    };
+    let mut cur = OwnedInstRecord::default();
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
         if let Some(rest) = line.strip_prefix("SPTEvent:") {
@@ -673,38 +548,13 @@ pub fn parse_o3_trace(text: &str) -> Result<ParsedTrace, String> {
         }
         stage_idx = (stage_idx + 1) % STAGES.len();
         if stage_idx == 0 {
-            trace.records.push(std::mem::replace(
-                &mut cur,
-                OwnedInstRecord {
-                    seq: 0,
-                    pc: 0,
-                    disasm: String::new(),
-                    fetch_cycle: 0,
-                    rename_cycle: 0,
-                    issue_cycle: None,
-                    complete_cycle: None,
-                    retire_cycle: None,
-                    squash_cycle: None,
-                },
-            ));
+            trace.records.push(std::mem::take(&mut cur));
         }
     }
     if stage_idx != 0 {
         return Err("trace ends mid-record".into());
     }
     Ok(trace)
-}
-
-/// Strictly validates an O3PipeView trace and reports block counts.
-///
-/// This is [`parse_o3_trace`] with the records thrown away — kept as the
-/// cheap entry point for the CLI tests and the CI observability gate.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line (1-based).
-pub fn validate_o3_trace(text: &str) -> Result<O3TraceSummary, String> {
-    parse_o3_trace(text).map(|t| t.summary())
 }
 
 #[cfg(test)]
@@ -721,18 +571,11 @@ mod tests {
             issue_cycle: Some(seq + 2),
             complete_cycle: Some(seq + 3),
             retire_cycle: Some(seq + 4),
-            squash_cycle: None,
         }
     }
 
     fn squashed(seq: u64) -> InstRecord<'static> {
-        InstRecord {
-            issue_cycle: None,
-            complete_cycle: None,
-            retire_cycle: None,
-            squash_cycle: Some(seq + 7),
-            ..rec(seq)
-        }
+        InstRecord { issue_cycle: None, complete_cycle: None, retire_cycle: None, ..rec(seq) }
     }
 
     #[test]
@@ -746,7 +589,7 @@ mod tests {
             sink.flush().unwrap();
         }
         let text = String::from_utf8(buf).unwrap();
-        let summary = validate_o3_trace(&text).unwrap();
+        let summary = parse_o3_trace(&text).unwrap().summary();
         assert_eq!(summary.instructions, 3);
         assert_eq!(summary.retired, 2);
         assert_eq!(summary.squashed, 1);
@@ -754,38 +597,32 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_garbage() {
-        assert!(validate_o3_trace("not a trace\n").is_err());
-        assert!(validate_o3_trace("O3PipeView:fetch:500:0x40:0:1:nop\n").is_err()); // mid-record
-                                                                                    // Tick regression within a block.
+    fn parser_rejects_garbage() {
+        assert!(parse_o3_trace("not a trace\n").is_err());
+        // Mid-record.
+        assert!(parse_o3_trace("O3PipeView:fetch:500:0x40:0:1:nop\n").is_err());
+        // Tick regression within a block.
         let bad = "O3PipeView:fetch:1000:0x0000000000000040:0:0:nop\n\
                    O3PipeView:decode:1000\nO3PipeView:rename:500\nO3PipeView:dispatch:500\n\
                    O3PipeView:issue:0\nO3PipeView:complete:0\nO3PipeView:retire:0:store:0\n";
-        assert!(validate_o3_trace(bad).unwrap_err().contains("regressed"));
+        assert!(parse_o3_trace(bad).unwrap_err().contains("regressed"));
     }
 
     #[test]
     fn empty_trace_is_valid_and_empty() {
-        assert_eq!(validate_o3_trace("").unwrap(), O3TraceSummary::default());
+        assert_eq!(parse_o3_trace("").unwrap().summary(), O3TraceSummary::default());
     }
 
     #[test]
-    fn handle_clone_disables() {
-        let handle = TraceHandle::new(Box::new(MemorySink::new()));
-        assert!(handle.enabled());
-        let cloned = handle.clone();
-        assert!(!cloned.enabled());
-        assert_eq!(format!("{handle:?}"), "TraceHandle(true)");
-    }
-
-    #[test]
-    fn memory_sink_captures_events() {
-        let mut sink = MemorySink::new();
-        sink.event(3, &SptTraceEvent::Untaint { phys: 7, mechanism: "fwd", seq: 12 });
+    fn parsed_trace_captures_as_a_sink() {
+        let mut sink = ParsedTrace::default();
+        sink.event(3, &SptTraceEvent::Untaint { phys: 7, mechanism: "fwd".into(), seq: 12 });
         sink.inst(&rec(5));
-        assert_eq!(sink.events.len(), 1);
-        assert_eq!(sink.insts[0].seq, 5);
-        assert_eq!(sink.insts[0].retire_cycle, Some(9));
+        sink.event(4, &SptTraceEvent::TaintDest { seq: 6, phys: 8 });
+        assert_eq!(sink.events.len(), 2);
+        assert_eq!((sink.events[0].after_block, sink.events[1].after_block), (0, 1));
+        assert_eq!(sink.records[0].seq, 5);
+        assert_eq!(sink.records[0].retire_cycle, Some(9));
     }
 
     #[test]
@@ -822,7 +659,10 @@ mod tests {
             sink.event(2, &SptTraceEvent::TaintDest { seq: 1, phys: 33 });
             sink.inst(&rec(0));
             sink.event(9, &SptTraceEvent::TransmitterDelayed { seq: 2, pc: 0x48 });
-            sink.event(10, &SptTraceEvent::Untaint { phys: 33, mechanism: "shadow-l1", seq: 1 });
+            sink.event(
+                10,
+                &SptTraceEvent::Untaint { phys: 33, mechanism: "shadow-l1".into(), seq: 1 },
+            );
             sink.inst(&rec(1));
             sink.event(11, &SptTraceEvent::ResolutionDeferred { seq: 3, pc: 0x50 });
             sink.flush().unwrap();
@@ -834,13 +674,11 @@ mod tests {
         assert_eq!(trace.events[1].after_block, 1);
         assert_eq!(trace.events[3].after_block, 2);
         assert_eq!(
-            trace.events[2].kind,
-            ParsedEventKind::Untaint { phys: 33, mechanism: "shadow-l1".into(), seq: 1 }
+            trace.events[2].event,
+            SptTraceEvent::Untaint { phys: 33, mechanism: "shadow-l1".into(), seq: 1 }
         );
-        assert_eq!(trace.events[3].kind, ParsedEventKind::ResolutionDeferred { seq: 3, pc: 0x50 });
-        // The old strict validator contract still holds on event traces.
-        let summary = validate_o3_trace(&text).unwrap();
-        assert_eq!(summary.instructions, 2);
+        assert_eq!(trace.events[3].event, SptTraceEvent::ResolutionDeferred { seq: 3, pc: 0x50 });
+        assert_eq!(trace.summary().instructions, 2);
     }
 
     #[test]
@@ -858,7 +696,10 @@ mod tests {
             sink.event(0, &SptTraceEvent::TaintDest { seq: 7, phys: 5 });
             sink.inst(&rec(0));
             sink.inst(&squashed(1));
-            sink.event(12, &SptTraceEvent::Untaint { phys: 5, mechanism: "forward", seq: 7 });
+            sink.event(
+                12,
+                &SptTraceEvent::Untaint { phys: 5, mechanism: "forward".into(), seq: 7 },
+            );
             sink.inst(&rec(2));
             sink.event(20, &SptTraceEvent::TransmitterDelayed { seq: 9, pc: 0xabc });
             sink.flush().unwrap();

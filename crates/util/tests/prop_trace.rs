@@ -4,11 +4,14 @@
 //! legally skipped) interleaved with arbitrary `SPTEvent:` lines are
 //! emitted through `O3PipeViewSink::with_events`, parsed back with
 //! `parse_o3_trace`, and re-emitted with `ParsedTrace::reemit` — the
-//! round trip must be byte-identical and the recovered cycle fields
-//! exact.
+//! round trip must be byte-identical, the recovered cycle fields exact,
+//! and the parsed trace equal to a `ParsedTrace` that captured the same
+//! calls as a sink.
 
 use proptest::prelude::*;
-use spt_util::trace::{parse_o3_trace, InstRecord, O3PipeViewSink, SptTraceEvent, TraceSink};
+use spt_util::trace::{
+    parse_o3_trace, InstRecord, O3PipeViewSink, ParsedTrace, SptTraceEvent, TraceSink,
+};
 
 /// One generated trace element: an instruction lifecycle or an event.
 #[derive(Clone, Debug)]
@@ -35,7 +38,7 @@ fn event_strategy() -> impl Strategy<Value = Element> {
             .prop_map(|(c, seq, phys)| Element::Event(c, SptTraceEvent::TaintDest { seq, phys })),
         (cycle.clone(), 0u32..256, 0usize..4, any::<u64>()).prop_map(|(c, phys, mech, seq)| {
             let mechanism = ["forward", "backward", "shadow-l1", "stl-fwd"][mech];
-            Element::Event(c, SptTraceEvent::Untaint { phys, mechanism, seq })
+            Element::Event(c, SptTraceEvent::Untaint { phys, mechanism: mechanism.into(), seq })
         }),
         (cycle.clone(), any::<u64>(), any::<u64>()).prop_map(|(c, seq, pc)| Element::Event(
             c,
@@ -74,12 +77,16 @@ proptest! {
     #[test]
     fn o3_roundtrip_is_byte_identical(elements in element_strategy()) {
         let mut buf = Vec::new();
+        let mut captured = ParsedTrace::default();
         {
             let mut sink = O3PipeViewSink::with_events(&mut buf);
             let mut seq = 0u64;
             for el in &elements {
                 match el {
-                    Element::Event(cycle, ev) => sink.event(*cycle, ev),
+                    Element::Event(cycle, ev) => {
+                        sink.event(*cycle, ev);
+                        captured.event(*cycle, ev);
+                    }
                     Element::Inst {
                         pc,
                         disasm_tag,
@@ -107,7 +114,6 @@ proptest! {
                                 issue_cycle: Some(issue),
                                 complete_cycle: Some(complete),
                                 retire_cycle: Some(retire),
-                                squash_cycle: None,
                             },
                             // Squashed before issue.
                             1 => InstRecord {
@@ -119,7 +125,6 @@ proptest! {
                                 issue_cycle: None,
                                 complete_cycle: None,
                                 retire_cycle: None,
-                                squash_cycle: Some(issue),
                             },
                             // Squashed after completing (wrong path ran to
                             // the end).
@@ -132,10 +137,10 @@ proptest! {
                                 issue_cycle: Some(issue),
                                 complete_cycle: Some(complete),
                                 retire_cycle: None,
-                                squash_cycle: Some(retire),
                             },
                         };
                         sink.inst(&rec);
+                        captured.inst(&rec);
                     }
                 }
             }
@@ -144,6 +149,7 @@ proptest! {
         let text = String::from_utf8(buf).expect("emitter writes utf8");
         let parsed = parse_o3_trace(&text).expect("emitter output parses");
         prop_assert_eq!(parsed.reemit(), text);
+        prop_assert_eq!(&parsed, &captured);
 
         // Parsed counts match what was generated.
         let insts =

@@ -13,7 +13,7 @@
 use spt_bench::runner::{prepare_machine, run_prepared};
 use spt_bench::statsdoc::run_document;
 use spt_repro::core::{Config, ThreatModel};
-use spt_util::{validate_o3_trace, O3PipeViewSink};
+use spt_util::{parse_o3_trace, O3PipeViewSink};
 use std::path::Path;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
     m.take_trace_sink().expect("sink attached").flush().expect("trace written");
 
     let text = std::fs::read_to_string(trace_path).expect("read trace back");
-    let summary = validate_o3_trace(&text).expect("trace is well-formed O3PipeView");
+    let summary = parse_o3_trace(&text).expect("trace is well-formed O3PipeView").summary();
     println!("wrote {} — load it in Konata to scrub the pipeline", trace_path.display());
     println!(
         "trace: {} instructions ({} retired, {} squashed)",

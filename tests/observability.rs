@@ -4,7 +4,9 @@
 //!   cycle counts and attacker-observation digests are bit-identical to a
 //!   plain run of the same (workload, config) cell;
 //! * the emitted trace is well-formed O3PipeView and covers every retired
-//!   and squashed instruction;
+//!   and squashed instruction, and parsing it back gives exactly what a
+//!   `ParsedTrace` sink captures from the same run;
+//! * a cloned machine keeps its telemetry but not its trace sink;
 //! * a wedged program surfaces as a [`SweepError`] wrapping
 //!   [`SimError::Deadlock`] carrying the cell identity, not a panic.
 
@@ -12,9 +14,11 @@ use spt_bench::runner::{prepare_machine, run_prepared, run_workload, SweepError}
 use spt_repro::core::{Config, ThreatModel};
 use spt_repro::isa::asm::Assembler;
 use spt_repro::isa::Reg;
-use spt_repro::ooo::SimError;
+use spt_repro::ooo::{RunLimits, SimError};
 use spt_repro::workloads::{ct_suite, spec_suite, Category, Scale, Workload};
-use spt_util::{parse_o3_trace, validate_o3_trace, MemorySink, O3PipeViewSink};
+use spt_util::{parse_o3_trace, O3PipeViewSink, ParsedTrace, SptTraceEvent};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const BUDGET: u64 = 2_000;
 
@@ -37,13 +41,13 @@ fn tracing_and_telemetry_are_zero_cost() {
             let mut m = prepare_machine(w, cfg);
 
             let mut observed = prepare_machine(w, cfg);
-            observed.set_trace_sink(Box::new(MemorySink::new()));
+            observed.set_trace_sink(Box::new(ParsedTrace::default()));
             observed.enable_telemetry();
             let row = run_prepared(&mut observed, w, cfg, BUDGET).expect("traced run completes");
 
             assert_eq!(plain.cycles, row.cycles, "{} under {cfg}: cycle count changed", w.name);
             assert_eq!(plain.retired, row.retired, "{} under {cfg}: retired changed", w.name);
-            let _ = m.run(spt_repro::ooo::RunLimits::retired(BUDGET)).expect("digest run");
+            let _ = m.run(RunLimits::retired(BUDGET)).expect("digest run");
             assert_eq!(
                 m.observation_digest(),
                 observed.observation_digest(),
@@ -74,7 +78,7 @@ fn o3_trace_is_well_formed_and_complete() {
     }
     let text = std::fs::read_to_string(&path).expect("read trace back");
     let _ = std::fs::remove_dir_all(&dir);
-    let summary = validate_o3_trace(&text).expect("well-formed O3PipeView");
+    let summary = parse_o3_trace(&text).expect("well-formed O3PipeView").summary();
     assert!(summary.retired >= BUDGET, "trace covers every retired instruction");
     assert_eq!(
         summary.instructions,
@@ -87,6 +91,9 @@ fn o3_trace_is_well_formed_and_complete() {
 fn event_emitting_sink_is_also_zero_cost() {
     // `O3PipeViewSink::with_events` adds SPTEvent lines to the output
     // stream; like the plain sink, attaching it must not perturb timing.
+    // Parsed back, the text must equal what a `ParsedTrace` sink captures
+    // from the same cell: records, events and their interleaving
+    // (`after_block`), so the text format loses nothing.
     let w = &spec_suite(Scale::Bench)[2]; // mcf: transmitter-heavy
     let cfg = Config::spt_full(ThreatModel::Futuristic);
     let plain = run_workload(w, cfg, BUDGET).expect("plain run completes");
@@ -108,14 +115,43 @@ fn event_emitting_sink_is_also_zero_cost() {
     let summary = parsed.summary();
     assert!(summary.events > 0, "SPT run under with_events must record events");
     assert!(
-        parsed
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, spt_util::ParsedEventKind::TransmitterDelayed { .. })),
+        parsed.events.iter().any(|e| matches!(e.event, SptTraceEvent::TransmitterDelayed { .. })),
         "mcf under SPT must log transmitter delays"
     );
-    // The strict validator accepts event-bearing traces too.
-    assert_eq!(validate_o3_trace(&text).expect("validates").events, summary.events);
+    for kind in ["taint", "untaint", "resolve-defer"] {
+        assert!(text.contains(&format!("\nSPTEvent:{kind}:")), "no {kind} events");
+    }
+    assert!(summary.squashed > 0, "mcf under SPT must squash");
+
+    let captured = Rc::new(RefCell::new(ParsedTrace::default()));
+    let mut m = prepare_machine(w, cfg);
+    m.set_trace_sink(Box::new(Rc::clone(&captured)));
+    run_prepared(&mut m, w, cfg, BUDGET).expect("captured run completes");
+    drop(m.take_trace_sink());
+    let captured = captured.take();
+    assert_eq!(parsed.records, captured.records, "instruction records differ");
+    assert_eq!(parsed.events, captured.events, "events or their interleaving differ");
+}
+
+#[test]
+fn a_clone_keeps_telemetry_and_has_no_sink() {
+    let w = &ct_suite(Scale::Bench)[1]; // chacha20
+    let cfg = Config::spt_full(ThreatModel::Futuristic);
+    let mut m = prepare_machine(w, cfg);
+    m.set_trace_sink(Box::new(ParsedTrace::default()));
+    m.enable_telemetry();
+    m.run(RunLimits::retired(500)).expect("run completes");
+
+    let mut clone = m.clone();
+    let json = |m: &spt_repro::ooo::Machine| m.telemetry().expect("telemetry enabled").to_json();
+    assert_eq!(json(&clone), json(&m), "the clone keeps the histograms");
+    assert!(json(&m).get("rob_occupancy").is_some());
+    assert!(clone.take_trace_sink().is_none(), "the clone has no sink");
+    assert!(m.take_trace_sink().is_some(), "the original keeps its sink");
+    // The clone's telemetry keeps recording.
+    let before = clone.telemetry().expect("enabled").rob_occupancy.samples();
+    clone.run(RunLimits::retired(1_000)).expect("clone runs on");
+    assert!(clone.telemetry().expect("enabled").rob_occupancy.samples() > before);
 }
 
 #[test]
@@ -125,32 +161,18 @@ fn squash_epochs_are_distinguished_by_fresh_seqs() {
     // reuses sequence numbers, so the same PC appears once squashed and
     // once retired under *different* seqs — assert exactly that on a
     // workload with guaranteed mispredictions.
-    use std::sync::{Arc, Mutex};
-
-    /// Delegating sink that leaves the captured records reachable after
-    /// the machine consumes the boxed trait object.
-    struct SharedSink(Arc<Mutex<MemorySink>>);
-    impl spt_util::TraceSink for SharedSink {
-        fn inst(&mut self, rec: &spt_util::InstRecord<'_>) {
-            self.0.lock().unwrap().inst(rec);
-        }
-        fn event(&mut self, cycle: u64, ev: &spt_util::SptTraceEvent) {
-            self.0.lock().unwrap().event(cycle, ev);
-        }
-    }
-
     let w = &spec_suite(Scale::Bench)[1]; // branchy SPEC proxy
     let cfg = Config::unsafe_baseline(ThreatModel::Futuristic);
-    let shared = Arc::new(Mutex::new(MemorySink::new()));
+    let shared = Rc::new(RefCell::new(ParsedTrace::default()));
     let mut m = prepare_machine(w, cfg);
-    m.set_trace_sink(Box::new(SharedSink(Arc::clone(&shared))));
+    m.set_trace_sink(Box::new(Rc::clone(&shared)));
     run_prepared(&mut m, w, cfg, BUDGET).expect("run completes");
     drop(m.take_trace_sink());
-    let mem = Arc::try_unwrap(shared).ok().expect("sole owner").into_inner().unwrap();
+    let mem = shared.take();
     let mut seen = std::collections::HashSet::new();
     let mut squashed_pcs = std::collections::HashSet::new();
     let mut refetched = 0usize;
-    for rec in &mem.insts {
+    for rec in &mem.records {
         assert!(seen.insert(rec.seq), "seq {} reused across squash epochs", rec.seq);
         if rec.retire_cycle.is_none() {
             squashed_pcs.insert(rec.pc);
@@ -158,7 +180,7 @@ fn squash_epochs_are_distinguished_by_fresh_seqs() {
             refetched += 1;
         }
     }
-    let squashes = mem.insts.iter().filter(|r| r.retire_cycle.is_none()).count();
+    let squashes = mem.records.iter().filter(|r| r.retire_cycle.is_none()).count();
     assert!(squashes > 0, "branchy workload must squash");
     assert!(
         refetched > 0,
