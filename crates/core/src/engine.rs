@@ -398,14 +398,15 @@ impl TaintEngine {
     fn purge_recycled_phys(&mut self, phys: PhysReg) {
         self.orphans.retain(|(p, _)| *p != phys);
         let mut list = std::mem::take(&mut self.deps[phys as usize]);
-        for &seq in &list.seqs {
-            if self.slots.get(seq).is_some_and(|s| s.in_grace) {
+        // One in-order pass: finalize grace slots (in list order, so orphan
+        // push order is unchanged) and compact, keeping only live slots.
+        list.retain(|seq| match self.slots.get(seq) {
+            Some(slot) if slot.in_grace => {
                 self.finalize_retire(seq, Some(phys));
+                false
             }
-        }
-        // Compact: keep only seqs whose slot is still live (the finalized
-        // grace slots and any older stale entries drop out here).
-        list.retain(|seq| self.slots.contains(seq));
+            live => live.is_some(),
+        });
         self.deps[phys as usize] = list;
     }
 
@@ -511,9 +512,12 @@ impl TaintEngine {
 
     /// Marks an instruction retired. Its slot stays visible to the untaint
     /// rules for `RETIRE_GRACE` steps (commit latency), then is
-    /// removed with un-broadcast untaint flags preserved as orphans.
+    /// removed with un-broadcast untaint flags preserved as orphans. With
+    /// untainting off no rule ever reads it, so it is removed at once.
     pub fn retire(&mut self, seq: Seq) {
-        if let Some(slot) = self.slots.get_mut(seq) {
+        if !self.cfg.untaint.forward() {
+            self.finalize_retire(seq, None);
+        } else if let Some(slot) = self.slots.get_mut(seq) {
             slot.in_grace = true;
             // An entry expires on the (RETIRE_GRACE + 1)-th aging pass after
             // retirement, matching the old decrement-to-zero counters.
@@ -1287,6 +1291,22 @@ mod grace_tests {
             e.step();
         }
         assert_eq!(e.live_slots(), 0, "all retired slots must be finalized");
+    }
+
+    /// SecureBaseline never steps its rules, so a retired slot must not
+    /// wait for a grace period (or a recycled register) to be freed: slots
+    /// of operand-less instructions (`Nop`, `Jump`, `Halt`) would live
+    /// forever.
+    #[test]
+    fn secure_baseline_frees_retired_slots_at_once() {
+        let mut e = TaintEngine::new(Config::secure_baseline(ThreatModel::Futuristic), 64);
+        for seq in 1..=10_000 {
+            let class = InstClass::ControlFlow;
+            e.rename(RenameInfo { seq, class, srcs: [None; 3], dest: None, load_bytes: None });
+            e.retire(seq);
+            e.step();
+        }
+        assert_eq!(e.live_slots(), 0);
     }
 
     #[test]

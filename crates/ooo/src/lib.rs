@@ -58,6 +58,7 @@ mod protection;
 pub mod rename;
 pub mod rob;
 mod sched;
+mod snapshot;
 pub mod stats;
 pub mod validate;
 

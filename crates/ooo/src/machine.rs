@@ -35,12 +35,13 @@ use crate::config::CoreConfig;
 use crate::probe::{Probe, Telemetry};
 use crate::protection::Protection;
 use crate::rename::RegisterFile;
-use crate::rob::{ExecState, RobEntry};
+use crate::rob::{ExecState, RobEntry, SnapId};
 use crate::sched::{RetiredLoadTable, Scheduler};
+use crate::snapshot::SnapshotRing;
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
 use crate::validate::SecurityValidator;
 use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
-use spt_frontend::{Checkpoint, FetchPrediction, Frontend, PredictInfo};
+use spt_frontend::Frontend;
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
 use spt_util::TraceSink;
@@ -163,10 +164,9 @@ pub(crate) enum DelayNote {
 struct Fetched {
     pc: u64,
     inst: Inst,
-    checkpoint: Checkpoint,
+    snap: SnapId,
     pred_next: u64,
     pred_taken: bool,
-    pred_info: Option<PredictInfo>,
     fetch_cycle: u64,
 }
 
@@ -201,6 +201,9 @@ pub struct Machine {
     program: Program,
     mem: MemSystem,
     fe: Frontend,
+    /// The frontend states squash recovery rewinds to, one per control-flow
+    /// instruction in flight (see the `snapshot` module).
+    snaps: SnapshotRing,
     rf: RegisterFile,
     rob: VecDeque<RobEntry>,
     rob_pos: RobIndex,
@@ -289,6 +292,7 @@ impl Machine {
             program,
             mem,
             fe: Frontend::new(),
+            snaps: SnapshotRing::default(),
             rf: RegisterFile::new(core.num_phys),
             rob: VecDeque::with_capacity(core.rob_size),
             rob_pos: RobIndex::default(),
@@ -411,6 +415,16 @@ impl Machine {
     /// the table capacity of 128).
     pub fn retired_loads_live(&self) -> usize {
         self.retired_loads.live()
+    }
+
+    /// Frontend snapshots held, and the control-flow instructions in the
+    /// ROB and fetch queue, which bound them: there is at most one
+    /// snapshot per control-flow instruction in flight plus the open one
+    /// (diagnostics).
+    pub fn snapshot_occupancy(&self) -> (usize, usize) {
+        let cf = self.rob.iter().filter(|e| e.inst.is_control_flow()).count()
+            + self.fetch_q.iter().filter(|f| f.inst.is_control_flow()).count();
+        (self.snaps.len(), cf)
     }
 
     /// O(1) seq → current ROB index via the side window; `None` means the
@@ -789,8 +803,7 @@ impl Machine {
                 }
             }
 
-            let head = self.rob.pop_front().expect("head exists");
-            self.rob_pos.pop_front();
+            let head = &self.rob[0];
             // The retired head satisfied the retire condition, which
             // implies self-ok under both threat models, so it was inside
             // the VP cursor's prefix.
@@ -806,7 +819,7 @@ impl Machine {
                 self.sched.stores.remove(seq);
             }
             if let Some(p) = &mut self.probe {
-                p.retire(&head, self.cycle);
+                p.retire(head, self.cycle);
             }
             if head.inst.is_transmitter() {
                 self.transmit_obs.write_u64(head.pc);
@@ -832,13 +845,8 @@ impl Machine {
             }
             if head.inst.is_control_flow() {
                 let target = head.actual_next.unwrap_or(head.pred_next);
-                self.fe.train(
-                    head.pc,
-                    &head.inst,
-                    head.actual_taken,
-                    target,
-                    head.pred_info.as_ref(),
-                );
+                let info = self.snaps.predict_info(head.snap);
+                self.fe.train(head.pc, &head.inst, head.actual_taken, target, info);
                 if head.inst.is_cond_branch() {
                     self.stats.retired_branches += 1;
                 }
@@ -858,11 +866,17 @@ impl Machine {
             }
             self.stats.retired += 1;
             self.last_retire_cycle = self.cycle;
-            if matches!(head.inst, Inst::Halt) {
+            let halt = matches!(head.inst, Inst::Halt);
+            self.rob.pop_front();
+            self.rob_pos.pop_front();
+            if halt {
                 self.halted = true;
                 break;
             }
         }
+        let oldest =
+            self.rob.front().map(|e| e.snap).or_else(|| self.fetch_q.front().map(|f| f.snap));
+        self.snaps.release(oldest);
     }
 
     // ------------------------------------------------------------------
@@ -1148,17 +1162,15 @@ impl Machine {
             self.progress = true;
             let actual = e.actual_next.expect("executed control flow has a target");
             if actual != e.pred_next {
-                let pc = e.pc;
-                let inst = e.inst;
-                let taken = e.actual_taken;
-                let cp = e.checkpoint.clone();
+                let (pc, inst, taken, snap) = (e.pc, e.inst, e.actual_taken, e.snap);
                 if inst.is_cond_branch() {
                     self.stats.branch_mispredicts += 1;
                 } else {
                     self.stats.indirect_mispredicts += 1;
                 }
                 self.squash_after(seq);
-                self.fe.recover(&cp, pc, &inst, taken);
+                self.fe.recover(self.snaps.checkpoint(snap), pc, &inst, taken);
+                self.snaps.truncate_after(snap);
                 self.fetch_pc = actual;
                 self.fetch_stalled = false;
                 self.fetch_q.clear();
@@ -1189,13 +1201,12 @@ impl Machine {
                 self.sched.pending_viol.remove(seq);
                 continue;
             };
-            let victim = &self.rob[vi];
-            let pc = victim.pc;
-            let cp = victim.checkpoint.clone();
+            let (pc, snap) = (self.rob[vi].pc, self.rob[vi].snap);
             self.squash_after(victim_seq - 1);
             self.rob[i].mem.pending_violation = None;
             self.sched.pending_viol.remove(seq);
-            self.fe.restore(&cp);
+            self.fe.restore(self.snaps.checkpoint(snap));
+            self.snaps.reopen(snap);
             self.fetch_pc = pc;
             self.fetch_stalled = false;
             self.fetch_q.clear();
@@ -1205,15 +1216,13 @@ impl Machine {
         false
     }
 
-    /// Removes every entry younger than `seq`, rolling back renaming.
+    /// Removes every entry younger than `seq`, rolling back renaming
+    /// youngest first, then truncates the ROB in place.
     fn squash_after(&mut self, seq: Seq) {
-        while let Some(tail) = self.rob.back() {
-            if tail.seq <= seq {
-                break;
-            }
-            let e = self.rob.pop_back().expect("tail exists");
+        let keep = self.rob.partition_point(|e| e.seq <= seq);
+        for e in self.rob.range(keep..).rev() {
             if let Some(p) = &mut self.probe {
-                p.squash(&e);
+                p.squash(e);
             }
             if let Some((arch, new, old)) = e.dest {
                 self.rf.rollback(arch, new, old);
@@ -1228,6 +1237,7 @@ impl Machine {
                 self.sq_used -= 1;
             }
         }
+        self.rob.truncate(keep);
         self.rob_pos.squash_after(seq);
         self.sched.squash_from(seq + 1);
         self.sched.ok_count = self.sched.ok_count.min(self.rob.len());
@@ -1644,17 +1654,8 @@ impl Machine {
             }
 
             let fetch_cycle = f.fetch_cycle;
-            let mut entry = RobEntry::new(
-                seq,
-                f.pc,
-                inst,
-                srcs,
-                dest,
-                f.checkpoint,
-                f.pred_next,
-                f.pred_taken,
-                f.pred_info,
-            );
+            let mut entry =
+                RobEntry::new(seq, f.pc, inst, srcs, dest, f.snap, f.pred_next, f.pred_taken);
             entry.timing.fetch_cycle = fetch_cycle;
             entry.timing.rename_cycle = self.cycle;
             // Scheduler dispatch: register on the wakeup list of every
@@ -1719,24 +1720,25 @@ impl Machine {
                 self.fetch_stalled = true;
                 break;
             };
-            let checkpoint = self.fe.checkpoint();
-            let pred = if inst.is_control_flow() {
-                self.fe.predict(pc, &inst)
+            let snap = self.snaps.open(&self.fe);
+            let (pred_next, pred_taken) = if inst.is_control_flow() {
+                let pred = self.fe.predict(pc, &inst);
+                self.snaps.close(snap, pred.info);
+                (pred.next_pc, pred.predicted_taken)
             } else {
-                FetchPrediction { next_pc: pc + 1, predicted_taken: false, info: None }
+                (pc + 1, false)
             };
             self.stats.fetched += 1;
             let stall = matches!(inst, Inst::Halt);
             self.fetch_q.push_back(Fetched {
                 pc,
                 inst,
-                checkpoint,
-                pred_next: pred.next_pc,
-                pred_taken: pred.predicted_taken,
-                pred_info: pred.info,
+                snap,
+                pred_next,
+                pred_taken,
                 fetch_cycle: self.cycle,
             });
-            self.fetch_pc = pred.next_pc;
+            self.fetch_pc = pred_next;
             if stall {
                 self.fetch_stalled = true;
             }
@@ -1770,6 +1772,11 @@ mod tests {
         a.blt(Reg::R1, Reg::R3, "loop");
         a.halt();
         a.assemble().unwrap()
+    }
+
+    #[test]
+    fn fetched_entry_stays_slim() {
+        assert!(std::mem::size_of::<Fetched>() <= 64, "{}", std::mem::size_of::<Fetched>());
     }
 
     #[test]

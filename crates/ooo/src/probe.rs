@@ -227,7 +227,6 @@ impl fmt::Debug for Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_frontend::Frontend;
     use spt_isa::{Inst, Reg};
     use spt_util::ParsedTrace;
     use std::cell::RefCell;
@@ -245,8 +244,8 @@ mod tests {
 
     /// A squashable entry whose destination is physical register `phys`.
     fn entry(seq: u64, phys: PhysReg) -> RobEntry {
-        let (inst, cp) = (Inst::MovImm { rd: Reg::R1, imm: 0 }, Frontend::new().checkpoint());
-        RobEntry::new(seq, 0x40, inst, [None; 3], Some((Reg::R1, phys, 0)), cp, 0x48, false, None)
+        let inst = Inst::MovImm { rd: Reg::R1, imm: 0 };
+        RobEntry::new(seq, 0x40, inst, [None; 3], Some((Reg::R1, phys, 0)), 0, 0x48, false)
     }
 
     #[test]

@@ -179,7 +179,6 @@ impl Protection {
 mod tests {
     use super::*;
     use spt_core::{ThreatModel, UntaintKind};
-    use spt_frontend::Frontend;
     use spt_isa::{MemSize, Reg};
 
     /// A load of `[base]` at `seq` reading phys `addr`, writing phys `dest`.
@@ -192,18 +191,7 @@ mod tests {
             offset: 0,
             size: MemSize::B8,
         };
-        let cp = Frontend::new().checkpoint();
-        RobEntry::new(
-            seq,
-            0,
-            inst,
-            [Some(addr), None, None],
-            Some((Reg::R1, dest, 0)),
-            cp,
-            1,
-            false,
-            None,
-        )
+        RobEntry::new(seq, 0, inst, [Some(addr), None, None], Some((Reg::R1, dest, 0)), 0, 1, false)
     }
 
     fn rename(p: &mut Protection, e: &RobEntry) -> Option<TaintMask> {

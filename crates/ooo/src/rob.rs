@@ -1,8 +1,13 @@
 //! Reorder buffer entry types.
 
 use spt_core::{PhysReg, Seq, StlCondition};
-use spt_frontend::{Checkpoint, PredictInfo};
 use spt_isa::{Inst, Reg};
+
+/// Id of a frontend snapshot in the machine's snapshot ring: the
+/// speculative GHR + RAS state an instruction was fetched under, which
+/// squash recovery rewinds to, and for control flow the TAGE bookkeeping
+/// trained at retire.
+pub type SnapId = u64;
 
 /// Execution status of an in-flight instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,14 +91,14 @@ pub struct RobEntry {
     /// once per slot). The entry sits in the ready queue iff it is
     /// `Waiting` with `pending_srcs == 0`.
     pub pending_srcs: u8,
-    /// Frontend state snapshot taken before this instruction was predicted.
-    pub checkpoint: Checkpoint,
+    /// The frontend snapshot this instruction was fetched under (the state
+    /// before its own prediction); a control-flow instruction's snapshot
+    /// also holds its TAGE bookkeeping.
+    pub snap: SnapId,
     /// Predicted next PC (what fetch followed).
     pub pred_next: u64,
     /// Predicted direction for conditional branches.
     pub pred_taken: bool,
-    /// TAGE bookkeeping for training at retire.
-    pub pred_info: Option<PredictInfo>,
     /// Actual next PC, once executed (control flow).
     pub actual_next: Option<u64>,
     /// Actual direction for conditional branches.
@@ -120,10 +125,9 @@ impl RobEntry {
         inst: Inst,
         srcs: [Option<PhysReg>; 3],
         dest: Option<(Reg, PhysReg, PhysReg)>,
-        checkpoint: Checkpoint,
+        snap: SnapId,
         pred_next: u64,
         pred_taken: bool,
-        pred_info: Option<PredictInfo>,
     ) -> RobEntry {
         let is_cf = inst.is_control_flow();
         // Direct unconditional control flow is never mispredicted: the
@@ -144,10 +148,9 @@ impl RobEntry {
             result: 0,
             in_rs: true,
             pending_srcs: 0,
-            checkpoint,
+            snap,
             pred_next,
             pred_taken,
-            pred_info,
             actual_next: None,
             actual_taken: false,
             resolved: auto_resolved,
@@ -197,5 +200,13 @@ mod tests {
         assert!(RobEntry::range_covers(0, 8, 4, 4));
         assert!(!RobEntry::range_covers(0, 8, 4, 8));
         assert!(!RobEntry::range_covers(4, 4, 0, 8));
+    }
+
+    #[test]
+    fn entry_stays_slim() {
+        // Rename moves one entry into the ROB per instruction, and most of
+        // them are squashed on branchy code: the frontend state lives in
+        // the machine's snapshot ring, not here.
+        assert!(std::mem::size_of::<RobEntry>() <= 264, "{}", std::mem::size_of::<RobEntry>());
     }
 }

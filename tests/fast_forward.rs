@@ -144,6 +144,53 @@ fn run_matches_stepping_on_generated_programs() {
     });
 }
 
+/// Steps `m` to the end of `limits`, asserting after every cycle that the
+/// frontend snapshot ring holds at most one snapshot per control-flow
+/// instruction in flight plus the open one. Returns the violation squashes
+/// (squashes that were not mispredicts), which restore a snapshot instead
+/// of recovering past one. The goldens cannot see a ring that leaks.
+fn step_checking_snapshots(label: &str, m: &mut Machine, limits: RunLimits) -> u64 {
+    while unfinished(m, limits) {
+        m.step_cycle();
+        let (snaps, cf) = m.snapshot_occupancy();
+        assert!(
+            snaps <= cf + 1,
+            "{label}: {snaps} snapshots for {cf} control-flow instructions at cycle {}",
+            m.cycle()
+        );
+    }
+    let s = m.stats();
+    s.squashes - s.branch_mispredicts - s.indirect_mispredicts
+}
+
+#[test]
+fn snapshot_ring_is_bounded_by_control_flow_in_flight() {
+    let mcf = &workloads(0)[1];
+    for threat in [ThreatModel::Futuristic, ThreatModel::Spectre] {
+        let cfg = Config::spt_full(threat);
+        let mut m = prepare_machine(mcf, cfg);
+        step_checking_snapshots(&format!("mcf under {cfg}"), &mut m, RunLimits::retired(BUDGET));
+        assert!(m.stats().branch_mispredicts > 0, "mcf under {cfg}: no mispredict recovery");
+    }
+    // Generated programs alias stores and loads, so some memory-order
+    // violations squash and restore the victim's snapshot.
+    let mut violation_squashes = 0;
+    for seed in 0..FUZZ_PROGRAMS {
+        let tp = spt_fuzz::generate(seed);
+        for cfg in [
+            Config::spt_full(ThreatModel::Futuristic),
+            Config::unsafe_baseline(ThreatModel::Spectre),
+        ] {
+            let mut m = fuzz_machine(&tp, cfg);
+            let label = format!("generated program {seed} under {cfg}");
+            violation_squashes +=
+                step_checking_snapshots(&label, &mut m, RunLimits::cycles(FUZZ_CYCLES));
+            assert!(m.halted(), "{label}: no halt");
+        }
+    }
+    assert!(violation_squashes > 0, "no generated program squashed on a violation");
+}
+
 /// An in-memory writer whose bytes stay readable after the sink that
 /// owns it is dropped.
 #[derive(Clone, Default)]
