@@ -180,7 +180,7 @@ struct CellRun {
 /// Runs the Figure-7 matrix with telemetry enabled and accounts every
 /// cell. Cell order matches the sequential nested loop (workloads outer,
 /// Table-2 configs inner) at any job count, like
-/// [`spt_bench::runner::suite_matrix`].
+/// [`spt_bench::reproduce::CellStore::simulate`].
 ///
 /// # Errors
 ///

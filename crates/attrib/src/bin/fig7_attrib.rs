@@ -17,8 +17,7 @@ use spt_attrib::{
     account_matrix, accounting_document, render_accounting, validate_attrib_document,
     AccountingOptions, ATTRIB_SCHEMA,
 };
-use spt_bench::cli::exit_sweep_error;
-use spt_bench::runner::bench_suite;
+use spt_bench::runner::{bench_suite, exit_sweep_error};
 use spt_core::ThreatModel;
 use spt_util::Json;
 use std::path::{Path, PathBuf};

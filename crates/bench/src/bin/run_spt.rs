@@ -23,7 +23,7 @@
 //! artifact ("to run InsecureBaseline, simply provide the --executable and
 //! nothing else"). `--stt` selects the STT comparison design.
 
-use spt_bench::cli::exit_sweep_error;
+use spt_bench::runner::exit_sweep_error;
 use spt_bench::runner::{prepare_machine, run_prepared};
 use spt_bench::statsdoc::{run_document, write_json};
 use spt_core::{Config, ShadowMode, ThreatModel, UntaintMethod};

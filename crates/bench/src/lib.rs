@@ -1,31 +1,23 @@
 //! Experiment harness for the SPT reproduction.
 //!
-//! One binary per paper artifact regenerates the corresponding table or
-//! figure (see `DESIGN.md` §5 for the full index):
-//!
-//! | binary | artifact |
+//! | binary | purpose |
 //! |---|---|
-//! | `fig7` | Figure 7: normalized execution time, all configs × workloads |
-//! | `fig8` | Figure 8: untaint-event breakdown |
-//! | `fig9` | Figure 9: registers untainted per untainting cycle (CDF) |
-//! | `headline` | §9.2 headline numbers (overheads, ratios, deltas) |
-//! | `width_sweep` | §9.4 broadcast-width ablation |
-//! | `sdo` | §6.3 protection-policy ablation (delay vs oblivious) |
+//! | `reproduce` | every §9 artifact: Figures 7–9, §9.2 headline numbers, §9.4 width ablation, §6.3 policy ablation, Table 3 (see `DESIGN.md` §5) |
 //! | `run_spt` | single-run front-end mirroring the artifact's `run_spt.py` |
-//! | `table3` | Table 3: related-work taxonomy (static) |
+//! | `simbench` | host simulation throughput (`spt-simbench-v1`) |
 //!
-//! The library half holds the shared runner (with its bounded worker
-//! pool — every binary takes `--jobs N`), flag parsing, and text/CSV
-//! renderers.
+//! The library half holds the shared runner with its bounded worker pool
+//! ([`runner`]), the plan / cell store / renderers behind `reproduce`
+//! ([`reproduce`]), and the `spt-stats-v1` JSON documents ([`statsdoc`]).
 
-pub mod cli;
-pub mod report;
+pub mod reproduce;
 pub mod runner;
 pub mod simbench;
 pub mod statsdoc;
 
+pub use reproduce::{CellStore, Plan};
 pub use runner::{
-    default_jobs, prepare_machine, run_indexed, run_prepared, run_workload, suite_matrix, RunRow,
-    SuiteMatrix, SweepError, SweepOptions, DEFAULT_BUDGET,
+    default_jobs, prepare_machine, run_indexed, run_prepared, run_workload, RunRow, SweepError,
+    SweepOptions, DEFAULT_BUDGET,
 };
-pub use statsdoc::{matrix_document, run_document, write_json, STATS_SCHEMA};
+pub use statsdoc::{rows_document, run_document, write_json, STATS_SCHEMA};

@@ -1,12 +1,11 @@
 //! Shared simulation runner for the experiment binaries.
 //!
 //! Every cell of the paper's evaluation matrix (workload × configuration ×
-//! threat model) is an independent simulation, so the sweep fans out over a
+//! threat model) is an independent simulation, so sweeps fan out over a
 //! bounded worker pool ([`run_indexed`]) sized by
-//! [`std::thread::available_parallelism`] and overridable with the
-//! `--jobs N` flag every experiment binary accepts. Results are written
-//! into pre-indexed slots, so the assembled [`SuiteMatrix`] — and every
-//! CSV and table derived from it — is byte-identical to a sequential run
+//! [`std::thread::available_parallelism`] and overridable with `--jobs N`.
+//! Results are written into pre-indexed slots, so every table derived from
+//! them (see [`crate::reproduce`]) is byte-identical to a sequential run
 //! regardless of scheduling.
 
 use spt_core::{Config, ThreatModel};
@@ -159,144 +158,15 @@ impl SweepOptions {
     }
 }
 
-/// Results of a whole suite × configuration sweep for one threat model.
-#[derive(Clone, Debug)]
-pub struct SuiteMatrix {
-    /// Attack model.
-    pub threat: ThreatModel,
-    /// Configuration names in Table-2 order.
-    pub configs: Vec<String>,
-    /// Workload names in Figure-7 order.
-    pub workloads: Vec<String>,
-    /// `rows[w][c]` = run of workload `w` under config `c`.
-    pub rows: Vec<Vec<RunRow>>,
-    /// Column index of [`BASELINE_CONFIG`], resolved once at construction
-    /// so per-cell normalization is O(1) instead of a linear name scan.
-    baseline: usize,
-}
-
 /// Display name of the configuration every normalization divides by
 /// (paper Table 2's insecure baseline).
 pub const BASELINE_CONFIG: &str = "UnsafeBaseline";
 
-impl SuiteMatrix {
-    /// Assembles a matrix, resolving the [`BASELINE_CONFIG`] column by
-    /// name once up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` has no `UnsafeBaseline` entry — normalized
-    /// quantities are meaningless without it, and a silent positional
-    /// assumption (column 0) could divide by the wrong configuration.
-    pub fn new(
-        threat: ThreatModel,
-        configs: Vec<String>,
-        workloads: Vec<String>,
-        rows: Vec<Vec<RunRow>>,
-    ) -> SuiteMatrix {
-        let baseline = configs.iter().position(|c| c == BASELINE_CONFIG).unwrap_or_else(|| {
-            panic!(
-                "matrix has no {BASELINE_CONFIG} column to normalize against (configs: {configs:?})"
-            )
-        });
-        SuiteMatrix { threat, configs, workloads, rows, baseline }
-    }
-
-    /// Column index of the [`BASELINE_CONFIG`] every normalization divides
-    /// by (validated by name at construction).
-    pub fn baseline_index(&self) -> usize {
-        self.baseline
-    }
-
-    /// Cycles normalized to the [`BASELINE_CONFIG`] column.
-    pub fn normalized(&self, w: usize, c: usize) -> f64 {
-        let base = self.rows[w][self.baseline].cycles as f64;
-        self.rows[w][c].cycles as f64 / base
-    }
-
-    /// Arithmetic mean of normalized execution time for config `c` over a
-    /// workload-index subset.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty subset: a mean over nothing is a report bug, and
-    /// returning `NaN` would flow unannotated into tables and CSVs.
-    pub fn mean_over(&self, c: usize, subset: &[usize]) -> f64 {
-        assert!(!subset.is_empty(), "mean_over: empty workload subset for config {c}");
-        subset.iter().map(|&w| self.normalized(w, c)).sum::<f64>() / subset.len() as f64
-    }
-
-    /// Geometric mean of normalized execution time for config `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty subset, as [`Self::mean_over`] does.
-    pub fn geomean_over(&self, c: usize, subset: &[usize]) -> f64 {
-        assert!(!subset.is_empty(), "geomean_over: empty workload subset for config {c}");
-        let log_sum: f64 = subset.iter().map(|&w| self.normalized(w, c).ln()).sum();
-        (log_sum / subset.len() as f64).exp()
-    }
-
-    /// Index of a configuration by display name.
-    pub fn config_index(&self, name: &str) -> Option<usize> {
-        self.configs.iter().position(|c| c == name)
-    }
-
-    /// Indices of workloads belonging to the SPEC suites (not constant-time).
-    pub fn spec_indices(&self, workloads: &[Workload]) -> Vec<usize> {
-        (0..self.workloads.len())
-            .filter(|&i| workloads[i].category != spt_workloads::Category::ConstantTime)
-            .collect()
-    }
-
-    /// Indices of constant-time workloads.
-    pub fn ct_indices(&self, workloads: &[Workload]) -> Vec<usize> {
-        (0..self.workloads.len())
-            .filter(|&i| workloads[i].category == spt_workloads::Category::ConstantTime)
-            .collect()
-    }
-}
-
-/// Runs the full Figure-7 sweep: every Table-2 configuration on every
-/// workload of the suite, for one threat model, fanned out over
-/// [`SweepOptions::jobs`] workers.
-///
-/// Cell order in the result is identical to the sequential nested loop
-/// (workloads outer, configs inner), whatever the parallelism.
-///
-/// # Errors
-///
-/// Returns the first failing cell in deterministic (workload, config)
-/// order if any simulation deadlocks.
-pub fn suite_matrix(
-    threat: ThreatModel,
-    workloads: &[Workload],
-    opts: SweepOptions,
-) -> Result<SuiteMatrix, SweepError> {
-    let configs = Config::table2(threat);
-    let cells = workloads.len() * configs.len();
-    let results = run_indexed(cells, opts.jobs, |i| {
-        let (w, c) = (i / configs.len(), i % configs.len());
-        if opts.verbose {
-            eprintln!("  running {} under {} ...", workloads[w].name, configs[c]);
-        }
-        run_workload(&workloads[w], configs[c], opts.budget)
-    });
-
-    let mut rows = Vec::with_capacity(workloads.len());
-    let mut row = Vec::with_capacity(configs.len());
-    for result in results {
-        row.push(result?);
-        if row.len() == configs.len() {
-            rows.push(std::mem::replace(&mut row, Vec::with_capacity(configs.len())));
-        }
-    }
-    Ok(SuiteMatrix::new(
-        threat,
-        configs.iter().map(|c| c.name().to_string()).collect(),
-        workloads.iter().map(|w| w.name.to_string()).collect(),
-        rows,
-    ))
+/// Reports a failed sweep cell and exits: the standard way every binary
+/// surfaces a wedged (workload, config, threat) pair.
+pub fn exit_sweep_error(e: &SweepError) -> ! {
+    eprintln!("sweep failed: {e}");
+    std::process::exit(1);
 }
 
 /// Builds the standard bench-scale workload suite.
@@ -319,38 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_normalization_is_one_for_baseline() {
-        let suite = spt_workloads::ct_suite(Scale::Bench);
-        let m = suite_matrix(ThreatModel::Spectre, &suite[..1], SweepOptions::new(1_000))
-            .expect("sweep completes");
-        let base = m.baseline_index();
-        assert!((m.normalized(0, base) - 1.0).abs() < 1e-12);
-        assert_eq!(m.configs.len(), 8);
-    }
-
-    #[test]
     fn pool_is_reexported_from_util() {
         // The pool itself is unit-tested in `spt-util`; this guards the
         // re-export path the binaries and older callers rely on.
         assert_eq!(run_indexed(4, 2, |i| i + 1), vec![1, 2, 3, 4]);
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "no UnsafeBaseline column")]
-    fn baseline_is_validated_by_name_at_construction() {
-        let _ = SuiteMatrix::new(ThreatModel::Spectre, vec!["Secure".into()], vec![], vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty workload subset")]
-    fn empty_subset_is_rejected() {
-        let m = SuiteMatrix::new(
-            ThreatModel::Spectre,
-            vec![BASELINE_CONFIG.to_string()],
-            vec![],
-            vec![],
-        );
-        m.mean_over(0, &[]);
     }
 }

@@ -176,7 +176,7 @@ impl Default for SimbenchOptions {
 /// # Errors
 ///
 /// Returns the first wedged cell in deterministic order, as
-/// [`crate::runner::suite_matrix`] does.
+/// [`crate::reproduce::CellStore::simulate`] does.
 pub fn measure(opts: SimbenchOptions) -> Result<Measurement, SweepError> {
     let workloads = basket_workloads();
     let configs = bench_configs(opts.threat);

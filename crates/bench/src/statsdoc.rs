@@ -6,8 +6,8 @@
 //!   cache / TLB / frontend counter, the optional telemetry histograms, and
 //!   the attacker-observation digest (hex, so the full 64 bits survive
 //!   consumers that parse numbers as doubles);
-//! * [`matrix_document`] — one sweep: per-cell cycles, retired counts, and
-//!   baseline-normalized execution time for a whole [`SuiteMatrix`].
+//! * [`rows_document`] — one `reproduce` pass: identity, cycles, retired
+//!   count and headline counters of every simulated cell.
 //!
 //! Serialization is `spt_util::Json` (hand-rolled; the workspace is
 //! offline), so documents round-trip exactly through `Json::parse`.
@@ -19,10 +19,16 @@
 //!
 //! * telemetry histograms now carry `p50`/`p90`/`p99` summary fields
 //!   (bucket-upper-bound estimates, clamped to the observed max) next to
-//!   `mean`/`max`. A removal or meaning change of an existing field would
-//!   require bumping to `spt-stats-v2`.
+//!   `mean`/`max`;
+//! * rows-document cells carry `broadcast_width`, which tells the
+//!   width-ablation cells of one configuration apart.
+//!
+//! A removal or meaning change of an existing field would require bumping
+//! to `spt-stats-v2`. The per-model matrix document of the former
+//! Figure-7 binary is gone: its cells are all in the rows document.
 
-use crate::runner::{RunRow, SuiteMatrix};
+use crate::reproduce::CellStore;
+use crate::runner::RunRow;
 use spt_mem::CacheStats;
 use spt_ooo::Machine;
 use spt_util::Json;
@@ -100,33 +106,15 @@ fn row_json(cell: &RunRow) -> Json {
     ])
 }
 
-/// Builds the sweep stats document for a flat row list (binaries whose
-/// sweep shape is not a full Table-2 matrix — fig8/fig9/sdo/width_sweep).
-/// Cells keep the runner's deterministic dispatch order.
-pub fn rows_document(rows: &[RunRow]) -> Json {
-    Json::obj([
-        ("schema", Json::str(STATS_SCHEMA)),
-        ("cells", Json::arr(rows.iter().map(row_json))),
-    ])
-}
-
-/// Builds the sweep stats document for a completed matrix.
-pub fn matrix_document(m: &SuiteMatrix) -> Json {
-    let mut rows = Vec::with_capacity(m.workloads.len() * m.configs.len());
-    for w in 0..m.workloads.len() {
-        for c in 0..m.configs.len() {
-            let mut cell = row_json(&m.rows[w][c]);
-            cell.push("normalized", Json::F64(m.normalized(w, c)));
-            rows.push(cell);
-        }
-    }
-    Json::obj([
-        ("schema", Json::str(STATS_SCHEMA)),
-        ("threat", Json::str(m.threat.to_string())),
-        ("configs", Json::arr(m.configs.iter().map(Json::str))),
-        ("workloads", Json::arr(m.workloads.iter().map(Json::str))),
-        ("cells", Json::Arr(rows)),
-    ])
+/// Builds the sweep stats document for every cell of a store, in plan
+/// order.
+pub fn rows_document(store: &CellStore) -> Json {
+    let cells = store.plan().cells().iter().zip(store.rows()).map(|((_, cfg), row)| {
+        let mut cell = row_json(row);
+        cell.push("broadcast_width", Json::U64(cfg.broadcast_width as u64));
+        cell
+    });
+    Json::obj([("schema", Json::str(STATS_SCHEMA)), ("cells", Json::arr(cells))])
 }
 
 /// Writes a document as pretty-printed JSON, creating parent directories.
@@ -144,7 +132,7 @@ pub fn write_json(doc: &Json, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{prepare_machine, run_prepared, suite_matrix, SweepOptions};
+    use crate::runner::{prepare_machine, run_prepared};
     use spt_core::{Config, ThreatModel};
     use spt_workloads::Scale;
 
@@ -170,18 +158,5 @@ mod tests {
             .and_then(|c| c.get("l1d"))
             .and_then(|c| c.get("hits"))
             .is_some());
-    }
-
-    #[test]
-    fn matrix_document_covers_every_cell() {
-        let suite = spt_workloads::ct_suite(Scale::Bench);
-        let m = suite_matrix(ThreatModel::Spectre, &suite[..1], SweepOptions::new(500).jobs(1))
-            .expect("sweep completes");
-        let doc = matrix_document(&m);
-        let back = Json::parse(&doc.to_string()).expect("round-trips");
-        let cells = back.get("cells").and_then(Json::as_arr).unwrap();
-        assert_eq!(cells.len(), m.configs.len());
-        let base = &cells[m.baseline_index()];
-        assert!((base.get("normalized").and_then(Json::as_f64).unwrap() - 1.0).abs() < 1e-12);
     }
 }

@@ -1,72 +1,64 @@
-//! The parallel sweep must be indistinguishable from the sequential one:
-//! same cycles, same retired counts, same cell ordering, byte-identical
-//! CSV — whatever the worker count. These tests force a multi-threaded
-//! pool even on single-core machines so the determinism claim is always
-//! exercised.
+//! The whole `reproduce` pipeline is one plan, simulated once per cell,
+//! and its output does not depend on the worker count: every results file
+//! and the spliced `EXPERIMENTS.md` come out byte-identical at `--jobs 1`
+//! and `--jobs 4`. Forcing four workers exercises the parallel path even
+//! on a single-core machine.
 
-use spt_bench::report::write_fig7_csv;
-use spt_bench::runner::{suite_matrix, SweepOptions};
-use spt_core::ThreatModel;
-use spt_workloads::{ct_suite, Scale};
+use spt_bench::reproduce::{self, CellStore};
+use spt_bench::runner::{bench_suite, SweepOptions};
+use spt_bench::statsdoc::rows_document;
+use spt_util::Json;
+use std::collections::HashSet;
+use std::fs;
 
-const BUDGET: u64 = 400;
+const BUDGET: u64 = 300;
 
-#[test]
-fn parallel_sweep_matches_sequential() {
-    let suite = ct_suite(Scale::Bench);
-    let suite = &suite[..2.min(suite.len())];
-    let threat = ThreatModel::Spectre;
-    let seq = suite_matrix(threat, suite, SweepOptions::new(BUDGET).jobs(1))
-        .expect("sequential sweep completes");
-    let par = suite_matrix(threat, suite, SweepOptions::new(BUDGET).jobs(4))
-        .expect("parallel sweep completes");
-
-    assert_eq!(seq.configs, par.configs);
-    assert_eq!(seq.workloads, par.workloads);
-    for (w, (sr, pr)) in seq.rows.iter().zip(&par.rows).enumerate() {
-        for (c, (s, p)) in sr.iter().zip(pr).enumerate() {
-            assert_eq!(s.workload, p.workload, "cell ({w},{c}) workload identity");
-            assert_eq!(s.config, p.config, "cell ({w},{c}) config identity");
-            assert_eq!(s.cycles, p.cycles, "cell ({w},{c}) cycles");
-            assert_eq!(s.retired, p.retired, "cell ({w},{c}) retired");
-        }
-    }
-}
+/// 400 Figure-7 cells (25 workloads × 8 configurations × 2 threat models),
+/// 25 SDO cells and 30 non-default broadcast widths; Figures 8 and 9, the
+/// headline numbers and the rest of the ablations reuse Figure-7 cells.
+const DISTINCT_CELLS: usize = 455;
 
 #[test]
-fn csv_bytes_identical_across_job_counts() {
-    let suite = ct_suite(Scale::Bench);
-    let suite = &suite[..2.min(suite.len())];
-    let threat = ThreatModel::Futuristic;
-    let dir = std::env::temp_dir().join("spt_determinism_test");
-    let mut bytes = Vec::new();
+fn one_plan_renders_byte_identical_artifacts_at_any_job_count() {
+    let suite = bench_suite();
+    let experiments = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let experiments = fs::read_to_string(experiments).expect("EXPERIMENTS.md readable");
+    let mut outputs = Vec::new();
     for jobs in [1usize, 4] {
-        let m = suite_matrix(threat, suite, SweepOptions::new(BUDGET).jobs(jobs))
-            .expect("sweep completes");
-        let path = dir.join(format!("fig7_jobs{jobs}.csv"));
-        write_fig7_csv(&m, &path).expect("csv written");
-        bytes.push(std::fs::read(&path).expect("csv read back"));
-    }
-    assert_eq!(bytes[0], bytes[1], "CSV must be byte-identical for --jobs 1 vs --jobs 4");
-    let _ = std::fs::remove_dir_all(dir);
-}
+        let plan = reproduce::plan(&suite);
+        assert_eq!(plan.len(), DISTINCT_CELLS, "distinct cells in the full-suite plan");
+        let distinct: HashSet<_> = plan.cells().iter().collect();
+        assert_eq!(distinct.len(), DISTINCT_CELLS, "planned cells are distinct");
 
-#[test]
-fn explicit_jobs_one_matches_default() {
-    // `--jobs 1` and the default (available_parallelism) worker count must
-    // agree; on a single-core machine the default *is* 1, so also pin an
-    // explicit multi-thread count to keep the comparison meaningful.
-    let suite = ct_suite(Scale::Bench);
-    let suite = &suite[..1];
-    let threat = ThreatModel::Spectre;
-    let one = suite_matrix(threat, suite, SweepOptions::new(BUDGET).jobs(1)).expect("jobs=1");
-    let def = suite_matrix(threat, suite, SweepOptions::new(BUDGET)).expect("default jobs");
-    let two = suite_matrix(threat, suite, SweepOptions::new(BUDGET).jobs(2)).expect("jobs=2");
-    for m in [&def, &two] {
-        for (sr, pr) in one.rows.iter().zip(&m.rows) {
-            for (s, p) in sr.iter().zip(pr) {
-                assert_eq!((s.cycles, s.retired), (p.cycles, p.retired));
-            }
-        }
+        let store = CellStore::simulate(plan, &suite, SweepOptions::new(BUDGET).jobs(jobs))
+            .expect("every cell runs to completion");
+        assert_eq!(store.simulated(), DISTINCT_CELLS, "the store ran each cell once");
+        let doc = Json::parse(&rows_document(&store).to_string()).expect("stats JSON parses");
+        assert_eq!(
+            doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(DISTINCT_CELLS)
+        );
+
+        let root = std::env::temp_dir().join(format!("spt_reproduce_jobs{jobs}"));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&root).expect("temp dir");
+        fs::write(root.join("EXPERIMENTS.md"), &experiments).expect("EXPERIMENTS.md copied");
+        let artifacts = reproduce::render(&store, &suite);
+        reproduce::write(&root, &artifacts).expect("artifacts written");
+        let files: Vec<(String, Vec<u8>)> = artifacts
+            .iter()
+            .map(|(file, _)| format!("results/{file}"))
+            .chain(["EXPERIMENTS.md".to_string()])
+            .map(|file| {
+                let bytes = fs::read(root.join(&file)).expect("artifact read back");
+                (file, bytes)
+            })
+            .collect();
+        outputs.push(files);
+        let _ = fs::remove_dir_all(&root);
+    }
+    assert_eq!(outputs[0].len(), outputs[1].len());
+    for ((file, one), (_, four)) in outputs[0].iter().zip(&outputs[1]) {
+        assert!(one == four, "{file} differs between --jobs 1 and --jobs 4");
     }
 }

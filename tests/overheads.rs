@@ -2,52 +2,46 @@
 //! evaluation (§9.2) establishes must hold in the reproduction —
 //! orderings and crossovers, not absolute numbers.
 //!
-//! Every simulation goes through a process-wide cycle cache keyed by
-//! (workload, config): the unsafe baseline for a given threat model is
-//! simulated once and shared by every comparison, and uncached cells are
-//! fanned out over the bench crate's worker pool instead of running
-//! serially.
+//! Every comparison reads one memoized cell store (the structure
+//! `reproduce` regenerates the paper's figures from): the cells below are
+//! simulated once per process, on the bench crate's worker pool, and
+//! asking for a cell outside them panics instead of simulating on the side.
 
-use spt_bench::runner::{default_jobs, run_indexed, run_workload};
+use spt_bench::reproduce::{CellStore, Plan};
+use spt_bench::runner::SweepOptions;
 use spt_repro::core::{Config, ThreatModel};
 use spt_repro::workloads::{ct_suite, full_suite, spec_suite, Scale, Workload};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 // Smaller budget under debug builds keeps `cargo test --workspace` fast;
 // the qualitative relationships asserted here hold at either size (and the
 // full-budget numbers live in EXPERIMENTS.md).
 const BUDGET: u64 = if cfg!(debug_assertions) { 4_000 } else { 8_000 };
 
-fn cache() -> &'static Mutex<HashMap<(&'static str, Config), u64>> {
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, Config), u64>>> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
-}
-
-/// Cycle counts for a batch of (workload, config) cells. Cells not yet in
-/// the cache are simulated concurrently on the shared worker pool; repeat
-/// cells (notably each threat model's UnsafeBaseline) are simulated once
-/// per process however many comparisons use them.
-fn cycles_batch(pairs: &[(&Workload, Config)]) -> Vec<u64> {
-    let fresh: Vec<(&Workload, Config)> = {
-        let cached = cache().lock().unwrap_or_else(PoisonError::into_inner);
-        let mut seen = HashSet::new();
-        pairs
-            .iter()
-            .filter(|(w, cfg)| !cached.contains_key(&(w.name, *cfg)) && seen.insert((w.name, *cfg)))
-            .copied()
-            .collect()
-    };
-    let rows = run_indexed(fresh.len(), default_jobs(), |i| {
-        let (w, cfg) = fresh[i];
-        run_workload(w, cfg, BUDGET)
-    });
-    let mut cached = cache().lock().unwrap_or_else(PoisonError::into_inner);
-    for ((w, cfg), row) in fresh.iter().zip(rows) {
-        let row = row.unwrap_or_else(|e| panic!("simulation wedged: {e}"));
-        cached.insert((w.name, *cfg), row.cycles);
-    }
-    pairs.iter().map(|(w, cfg)| cached[&(w.name, *cfg)]).collect()
+/// Every Table-2 configuration under the Futuristic model, and the four
+/// the tests compare across models under Spectre, on every workload.
+fn store() -> &'static CellStore {
+    static STORE: OnceLock<CellStore> = OnceLock::new();
+    STORE.get_or_init(|| {
+        let suite = full_suite(Scale::Bench);
+        let spectre = ThreatModel::Spectre;
+        let mut plan = Plan::default();
+        for w in &suite {
+            for cfg in Config::table2(ThreatModel::Futuristic) {
+                plan.add(w.name, cfg);
+            }
+            for cfg in [
+                Config::unsafe_baseline(spectre),
+                Config::secure_baseline(spectre),
+                Config::spt_full(spectre),
+                Config::stt(spectre),
+            ] {
+                plan.add(w.name, cfg);
+            }
+        }
+        CellStore::simulate(plan, &suite, SweepOptions::new(BUDGET))
+            .unwrap_or_else(|e| panic!("simulation wedged: {e}"))
+    })
 }
 
 fn mean_normalized(
@@ -55,16 +49,8 @@ fn mean_normalized(
     config: impl Fn(ThreatModel) -> Config,
     threat: ThreatModel,
 ) -> f64 {
-    let pairs: Vec<(&Workload, Config)> = suite
-        .iter()
-        .flat_map(|w| [(w, Config::unsafe_baseline(threat)), (w, config(threat))])
-        .collect();
-    let counts = cycles_batch(&pairs);
-    let mut sum = 0.0;
-    for pair in counts.chunks_exact(2) {
-        sum += pair[1] as f64 / pair[0] as f64;
-    }
-    sum / suite.len() as f64
+    let store = store();
+    suite.iter().map(|w| store.normalized(w.name, config(threat))).sum::<f64>() / suite.len() as f64
 }
 
 #[test]
@@ -154,21 +140,10 @@ fn stt_is_cheaper_than_spt() {
 fn unsafe_baseline_is_the_fastest() {
     let suite = full_suite(Scale::Bench);
     let threat = ThreatModel::Futuristic;
-    let pairs: Vec<(&Workload, Config)> = suite
-        .iter()
-        .take(8)
-        .flat_map(|w| {
-            [
-                (w, Config::unsafe_baseline(threat)),
-                (w, Config::spt_full(threat)),
-                (w, Config::secure_baseline(threat)),
-            ]
-        })
-        .collect();
-    let counts = cycles_batch(&pairs);
-    for (w, group) in suite.iter().zip(counts.chunks_exact(3)) {
-        let base = group[0];
-        for &c in &group[1..] {
+    let cycles = |w: &Workload, cfg: Config| store().row(w.name, cfg).cycles;
+    for w in suite.iter().take(8) {
+        let base = cycles(w, Config::unsafe_baseline(threat));
+        for c in [cycles(w, Config::spt_full(threat)), cycles(w, Config::secure_baseline(threat))] {
             // 10% relative slack, not a fixed cycle count: protection can
             // legitimately run slightly *faster* than UnsafeBaseline on
             // pointer-chasing workloads (e.g. deepsjeng), because the
