@@ -94,7 +94,7 @@ impl CellStore {
                 .find(|w| w.name == name)
                 .unwrap_or_else(|| panic!("planned workload `{name}` is not in the suite"));
             if opts.verbose {
-                eprintln!("  running {name} under {cfg} (width {}) ...", cfg.broadcast_width);
+                eprintln!("  running {name} under {cfg} ...");
             }
             simulated.fetch_add(1, Ordering::Relaxed);
             run_workload(w, cfg, opts.budget)
@@ -116,10 +116,7 @@ impl CellStore {
     pub fn row(&self, workload: &'static str, cfg: Config) -> &RunRow {
         match self.plan.index.get(&(workload, cfg)) {
             Some(&i) => &self.rows[i],
-            None => panic!(
-                "cell {workload} under {cfg} (width {}) is not in the plan",
-                cfg.broadcast_width
-            ),
+            None => panic!("cell {workload} under {cfg} is not in the plan"),
         }
     }
 

@@ -49,7 +49,8 @@ pub struct RunRow {
 pub struct SweepError {
     /// Workload name of the failed cell.
     pub workload: String,
-    /// Configuration display name of the failed cell.
+    /// The failed cell's configuration as its `Display` shows it: name,
+    /// threat model and any non-default broadcast width.
     pub config: String,
     /// Attack model of the failed cell.
     pub threat: ThreatModel,
@@ -59,7 +60,7 @@ pub struct SweepError {
 
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} under {} [{}]: {}", self.workload, self.config, self.threat, self.source)
+        write!(f, "{} under {}: {}", self.workload, self.config, self.source)
     }
 }
 
@@ -77,7 +78,7 @@ impl std::error::Error for SweepError {
 /// [`run_prepared`]; [`run_workload`] is the plain compose-and-run path.
 pub fn prepare_machine(w: &Workload, cfg: Config) -> Machine {
     let mut mem = MemSystem::default();
-    w.apply_memory(mem.store());
+    *mem.store() = w.image.clone();
     Machine::with_memory(w.program.clone(), CoreConfig::default(), cfg, mem)
 }
 
@@ -96,7 +97,7 @@ pub fn run_prepared(
 ) -> Result<RunRow, SweepError> {
     let out = m.run(RunLimits::retired(budget)).map_err(|source| SweepError {
         workload: w.name.to_string(),
-        config: cfg.name().to_string(),
+        config: cfg.to_string(),
         threat: cfg.threat,
         source,
     })?;
@@ -186,6 +187,20 @@ mod tests {
         assert!(row.retired >= 2_000);
         assert!(row.cycles > 0);
         assert!(row.stats.ipc() > 0.1, "chacha20 should have reasonable IPC");
+    }
+
+    #[test]
+    fn a_machine_copies_only_the_pages_it_writes() {
+        let w = spt_workloads::spec::fotonik(Scale::Bench);
+        let image = w.image.image_pages();
+        assert_eq!(image, 2048, "two 4 MiB fields");
+        let mut m = prepare_machine(&w, Config::spt_full(ThreatModel::Futuristic));
+        assert_eq!(m.mem().store_ref().private_pages(), 0, "start-up copies no page");
+        m.run(RunLimits::retired(5_000)).expect("fotonik3d runs");
+        let private = m.mem().store_ref().private_pages();
+        assert!(private > 0, "the streaming update writes its field");
+        assert!(private * 32 < image, "{private} of {image} pages copied in 5 000 instructions");
+        assert_eq!(w.image.private_pages(), 0, "the workload's image is untouched");
     }
 
     #[test]

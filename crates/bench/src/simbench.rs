@@ -191,7 +191,7 @@ pub fn measure(opts: SimbenchOptions) -> Result<Measurement, SweepError> {
             let start = Instant::now();
             let out = m.run(RunLimits::retired(opts.budget)).map_err(|source| SweepError {
                 workload: wl.name.to_string(),
-                config: cfg.name().to_string(),
+                config: cfg.to_string(),
                 threat: cfg.threat,
                 source,
             })?;

@@ -260,9 +260,15 @@ impl Config {
     }
 }
 
+/// `name [threat]`, plus ` (width N)` when the broadcast width is not
+/// the Table-1 default, so the cells of a width ablation stay distinct.
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}]", self.name(), self.threat)
+        write!(f, "{} [{}]", self.name(), self.threat)?;
+        if self.broadcast_width != Self::DEFAULT_BROADCAST_WIDTH {
+            write!(f, " (width {})", self.broadcast_width)?;
+        }
+        Ok(())
     }
 }
 
@@ -292,6 +298,15 @@ mod tests {
     fn display_includes_threat() {
         let c = Config::stt(ThreatModel::Futuristic);
         assert_eq!(c.to_string(), "STT [futuristic]");
+    }
+
+    #[test]
+    fn display_tells_width_cells_apart() {
+        let full = Config::spt_full(ThreatModel::Futuristic);
+        assert_eq!(full.to_string(), "SPT{Bwd,ShadowL1} [futuristic]");
+        let narrow = Config { broadcast_width: 1, ..full };
+        assert_eq!(narrow.to_string(), "SPT{Bwd,ShadowL1} [futuristic] (width 1)");
+        assert_eq!(narrow.name(), full.name(), "the paper name stays the configuration's");
     }
 
     #[test]

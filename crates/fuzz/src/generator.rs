@@ -27,6 +27,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spt_isa::asm::Assembler;
+use spt_isa::interp::SparseMem;
 use spt_isa::{AluOp, BranchCond, MemSize, Program, Reg};
 
 /// Public data readable through masked data-dependent indices.
@@ -124,6 +125,18 @@ impl TestProgram {
     /// the shrinker).
     pub fn with_program(&self, program: Program) -> TestProgram {
         TestProgram { program, ..self.clone() }
+    }
+
+    /// The initial memory for secret variant `secret`: the public words
+    /// plus `secret` at [`SECRET_BASE`]. An oracle that starts many runs
+    /// from it freezes it once ([`SparseMem::freeze`]) and clones that.
+    pub fn memory(&self, secret: &[u8]) -> SparseMem {
+        let mut mem = SparseMem::new();
+        for &(addr, word) in &self.mem_words {
+            mem.write(addr, word, 8);
+        }
+        mem.write_bytes(SECRET_BASE, secret);
+        mem
     }
 
     /// The disjoint regions a generated program confines its memory
@@ -517,12 +530,7 @@ mod tests {
     fn generated_programs_halt_on_the_interpreter() {
         for seed in 0..32 {
             let tp = generate(seed);
-            let mut mem = spt_isa::interp::SparseMem::new();
-            for &(addr, word) in &tp.mem_words {
-                mem.write(addr, word, 8);
-            }
-            mem.write_bytes(SECRET_BASE, &tp.secret);
-            let mut it = Interp::with_memory(&tp.program, mem);
+            let mut it = Interp::with_memory(&tp.program, tp.memory(&tp.secret));
             it.run(400_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }

@@ -80,17 +80,13 @@ pub struct InterpRun {
     pub trace: Vec<LeakEvent>,
 }
 
-fn apply_memory(tp: &TestProgram, secret: &[u8], mem: &mut SparseMem) {
-    for &(addr, word) in &tp.mem_words {
-        mem.write(addr, word, 8);
-    }
-    mem.write_bytes(SECRET_BASE, secret);
-}
-
-/// Runs the reference interpreter to completion.
-pub fn run_interp(tp: &TestProgram, secret: &[u8], with_trace: bool) -> Result<InterpRun, Finding> {
-    let mut mem = SparseMem::new();
-    apply_memory(tp, secret, &mut mem);
+/// Runs the reference interpreter to completion from `mem` (see
+/// [`TestProgram::memory`]).
+pub fn run_interp(
+    tp: &TestProgram,
+    mem: SparseMem,
+    with_trace: bool,
+) -> Result<InterpRun, Finding> {
     let mut it = Interp::with_memory(&tp.program, mem);
     if with_trace {
         it.enable_trace();
@@ -113,8 +109,13 @@ pub fn run_interp(tp: &TestProgram, secret: &[u8], with_trace: bool) -> Result<I
 /// Runs the pipeline under `cfg` to completion (error on deadlock or
 /// budget exhaustion).
 pub fn run_machine(tp: &TestProgram, secret: &[u8], cfg: Config) -> Result<Machine, Finding> {
+    run_machine_on(tp, tp.memory(secret), cfg)
+}
+
+/// [`run_machine`] from an already built memory.
+fn run_machine_on(tp: &TestProgram, store: SparseMem, cfg: Config) -> Result<Machine, Finding> {
     let mut mem = MemSystem::new(HierarchyConfig::default());
-    apply_memory(tp, secret, mem.store());
+    *mem.store() = store;
     let mut m = Machine::with_memory(tp.program.clone(), CoreConfig::default(), cfg, mem);
     let limits = RunLimits { max_cycles: CYCLE_BUDGET, max_retired: u64::MAX };
     match m.run(limits) {
@@ -165,14 +166,15 @@ fn diff_compare(interp: &InterpRun, m: &Machine) -> Option<String> {
 /// models, the pipeline must reproduce the interpreter's architectural
 /// end-state exactly.
 pub fn differential(tp: &TestProgram) -> Vec<Finding> {
-    let reference = match run_interp(tp, &tp.secret, false) {
+    let image = tp.memory(&tp.secret).freeze();
+    let reference = match run_interp(tp, image.clone(), false) {
         Ok(r) => r,
         Err(f) => return vec![f],
     };
     let mut out = Vec::new();
     for threat in THREATS {
         for cfg in Config::table2(threat) {
-            match run_machine(tp, &tp.secret, cfg) {
+            match run_machine_on(tp, image.clone(), cfg) {
                 Err(f) => out.push(f),
                 Ok(m) => {
                     if let Some(detail) = diff_compare(&reference, &m) {
@@ -228,15 +230,16 @@ fn touches_secret(trace: &[LeakEvent]) -> bool {
 /// while gadget programs must make the unsafe baseline diverge.
 pub fn relational(tp: &TestProgram) -> RelOutcome {
     let mut out = RelOutcome::default();
-    let secret_b = swapped_secret(&tp.secret);
-    let a = match run_interp(tp, &tp.secret, true) {
+    let image_a = tp.memory(&tp.secret).freeze();
+    let image_b = tp.memory(&swapped_secret(&tp.secret)).freeze();
+    let a = match run_interp(tp, image_a.clone(), true) {
         Ok(r) => r,
         Err(f) => {
             out.findings.push(f);
             return out;
         }
     };
-    let b = match run_interp(tp, &secret_b, true) {
+    let b = match run_interp(tp, image_b.clone(), true) {
         Ok(r) => r,
         Err(f) => {
             out.findings.push(f);
@@ -267,14 +270,14 @@ pub fn relational(tp: &TestProgram) -> RelOutcome {
             if cfg.protected() && cfg.kind == ProtectionKind::Stt && out.secret_read {
                 continue;
             }
-            let ma = match run_machine(tp, &tp.secret, cfg) {
+            let ma = match run_machine_on(tp, image_a.clone(), cfg) {
                 Ok(m) => m,
                 Err(f) => {
                     out.findings.push(f);
                     continue;
                 }
             };
-            let mb = match run_machine(tp, &secret_b, cfg) {
+            let mb = match run_machine_on(tp, image_b.clone(), cfg) {
                 Ok(m) => m,
                 Err(f) => {
                     out.findings.push(f);
@@ -310,11 +313,11 @@ pub fn reproduces(tp: &TestProgram, f: &Finding) -> bool {
     match f.kind {
         FindingKind::Generator => {
             // Either interpreter failure or a taint-discipline violation.
-            let a = match run_interp(tp, &tp.secret, true) {
+            let a = match run_interp(tp, tp.memory(&tp.secret), true) {
                 Ok(r) => r,
                 Err(_) => return true,
             };
-            let b = match run_interp(tp, &swapped_secret(&tp.secret), true) {
+            let b = match run_interp(tp, tp.memory(&swapped_secret(&tp.secret)), true) {
                 Ok(r) => r,
                 Err(_) => return true,
             };
@@ -326,7 +329,7 @@ pub fn reproduces(tp: &TestProgram, f: &Finding) -> bool {
         }
         FindingKind::Differential => {
             let cfg = f.config.expect("differential findings carry a config");
-            let reference = match run_interp(tp, &tp.secret, false) {
+            let reference = match run_interp(tp, tp.memory(&tp.secret), false) {
                 Ok(r) => r,
                 Err(_) => return false,
             };
@@ -338,7 +341,10 @@ pub fn reproduces(tp: &TestProgram, f: &Finding) -> bool {
         FindingKind::RelationalLeak => {
             let cfg = f.config.expect("relational findings carry a config");
             let secret_b = swapped_secret(&tp.secret);
-            let (a, b) = match (run_interp(tp, &tp.secret, true), run_interp(tp, &secret_b, true)) {
+            let (a, b) = match (
+                run_interp(tp, tp.memory(&tp.secret), true),
+                run_interp(tp, tp.memory(&secret_b), true),
+            ) {
                 (Ok(a), Ok(b)) => (a, b),
                 _ => return false,
             };

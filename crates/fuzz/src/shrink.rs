@@ -55,7 +55,7 @@ pub fn live_insts(p: &Program) -> usize {
 mod tests {
     use super::*;
     use crate::generator::generate;
-    use spt_isa::interp::{Interp, SparseMem};
+    use spt_isa::interp::Interp;
     use spt_isa::Reg;
 
     /// Shrink against a cheap predicate (final value of one register) to
@@ -64,12 +64,7 @@ mod tests {
     fn shrinks_to_the_dataflow_of_one_register() {
         let tp = generate(7);
         let final_r20 = |t: &TestProgram| -> Option<u64> {
-            let mut mem = SparseMem::new();
-            for &(a, w) in &t.mem_words {
-                mem.write(a, w, 8);
-            }
-            mem.write_bytes(crate::generator::SECRET_BASE, &t.secret);
-            let mut it = Interp::with_memory(&t.program, mem);
+            let mut it = Interp::with_memory(&t.program, t.memory(&t.secret));
             it.run(400_000).ok()?;
             Some(it.reg(Reg::R20))
         };

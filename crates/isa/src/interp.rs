@@ -18,16 +18,30 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Sparse byte-addressable memory used by the interpreter.
 ///
 /// Memory is a map from page number to a 4 KiB page. An access that stays
-/// inside one page costs one map lookup; one that crosses a page boundary,
-/// or wraps at `u64::MAX`, goes byte by byte.
+/// inside one page costs one map lookup (two if it falls through to the
+/// image below); one that crosses a page boundary, or wraps at `u64::MAX`,
+/// goes byte by byte.
+///
+/// A memory can also sit on top of a shared, read-only *image*:
+/// [`SparseMem::freeze`] moves every page into the image, and a clone of
+/// the frozen memory shares it for the cost of one reference count. Reads
+/// look in the memory's own (private) pages first, then in the image. The
+/// first write to a page copies the image's page, or a zero page, into the
+/// private map; later accesses to it cost exactly what they cost without an
+/// image. So a machine started from a workload's image copies only the
+/// pages it writes.
 #[derive(Clone, Debug, Default)]
 pub struct SparseMem {
-    pages: HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<PageHasher>>,
+    pages: PageMap,
+    image: Option<Arc<PageMap>>,
 }
+
+type PageMap = HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<PageHasher>>;
 
 const PAGE: usize = 4096;
 
@@ -56,6 +70,16 @@ impl Hasher for PageHasher {
     }
 }
 
+/// A private copy of the image's `page`, or a zero page: the first write
+/// to a page of a [`SparseMem`].
+#[cold]
+fn copy_in(image: Option<&PageMap>, page: u64) -> Box<[u8; PAGE]> {
+    match image.and_then(|i| i.get(&page)) {
+        Some(p) => p.clone(),
+        None => Box::new([0; PAGE]),
+    }
+}
+
 /// Mask of the low `size` bytes (`size <= 8`).
 fn low_bytes(size: u64) -> u64 {
     if size >= 8 {
@@ -76,14 +100,51 @@ impl SparseMem {
         SparseMem::default()
     }
 
+    /// Moves every private page into the shared image and returns the
+    /// memory, whose clones then share those pages instead of copying
+    /// them. No page is copied unless the image is already shared with
+    /// another memory.
+    pub fn freeze(self) -> SparseMem {
+        let image = match self.image {
+            None => self.pages,
+            Some(image) => {
+                let mut image = Arc::unwrap_or_clone(image);
+                image.extend(self.pages);
+                image
+            }
+        };
+        SparseMem { pages: PageMap::default(), image: Some(Arc::new(image)) }
+    }
+
+    /// Number of pages this memory holds privately: pages written since
+    /// the last [`SparseMem::freeze`] (a diagnostic of copy-on-write).
+    pub fn private_pages(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Number of pages in the shared image (0 before the first freeze).
+    pub fn image_pages(&self) -> usize {
+        self.image.as_ref().map_or(0, |i| i.len())
+    }
+
+    #[inline]
+    fn page(&self, page: u64) -> Option<&[u8; PAGE]> {
+        match self.pages.get(&page) {
+            Some(p) => Some(p),
+            None => self.image.as_ref()?.get(&page).map(|p| &**p),
+        }
+    }
+
+    #[inline]
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE] {
-        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE]))
+        let image = &self.image;
+        self.pages.entry(page).or_insert_with(|| copy_in(image.as_deref(), page))
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
         let (page, off) = split(addr);
-        self.pages.get(&page).map_or(0, |p| p[off])
+        self.page(page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
@@ -103,7 +164,7 @@ impl SparseMem {
         if off <= PAGE - 8 {
             // One fixed-width load: a variable-length copy would be a
             // `memcpy` call on the simulator's hottest memory path.
-            return self.pages.get(&page).map_or(0, |p| {
+            return self.page(page).map_or(0, |p| {
                 let word: [u8; 8] = p[off..off + 8].try_into().expect("8 bytes");
                 u64::from_le_bytes(word) & low_bytes(size)
             });
@@ -148,6 +209,33 @@ impl SparseMem {
         }
     }
 
+    /// Writes `words` as consecutive little-endian 8-byte words from
+    /// `addr`, wrapping at `u64::MAX` as [`SparseMem::write`] does. The
+    /// words land a page at a time, one map lookup per page instead of one
+    /// per word, which is how memory images are built.
+    pub fn write_words(&mut self, mut addr: u64, words: impl IntoIterator<Item = u64>) {
+        let mut words = words.into_iter().fuse();
+        self.pages.reserve(words.size_hint().0 / (PAGE / 8));
+        while let Some(first) = words.next() {
+            let (page, off) = split(addr);
+            if off > PAGE - 8 {
+                // This word crosses a page boundary.
+                self.write(addr, first, 8);
+                addr = addr.wrapping_add(8);
+                continue;
+            }
+            let p = self.page_mut(page);
+            p[off..off + 8].copy_from_slice(&first.to_le_bytes());
+            let mut end = off + 8;
+            while end <= PAGE - 8 {
+                let Some(w) = words.next() else { break };
+                p[end..end + 8].copy_from_slice(&w.to_le_bytes());
+                end += 8;
+            }
+            addr = addr.wrapping_add((end - off) as u64);
+        }
+    }
+
     /// Reads `len` bytes starting at `addr`, wrapping at `u64::MAX` as
     /// [`SparseMem::read`] does.
     pub fn read_bytes(&self, mut addr: u64, len: usize) -> Vec<u8> {
@@ -155,7 +243,7 @@ impl SparseMem {
         while out.len() < len {
             let (page, off) = split(addr);
             let n = (len - out.len()).min(PAGE - off);
-            match self.pages.get(&page) {
+            match self.page(page) {
                 Some(p) => out.extend_from_slice(&p[off..off + n]),
                 None => out.resize(out.len() + n, 0),
             }

@@ -60,9 +60,95 @@ fn mem_addr_strategy() -> impl Strategy<Value = u64> {
 
 /// One memory operation: `(kind, addr, value, size)`. Kinds 0-1 write,
 /// 2-3 read, 4 copies `3 * size` bytes in and back out with
-/// `write_bytes`/`read_bytes`.
+/// `write_bytes`/`read_bytes`, 5 writes `size` words with `write_words`.
 fn mem_op_strategy() -> impl Strategy<Value = (u8, u64, u64, u64)> {
-    (0u8..5, mem_addr_strategy(), any::<u64>(), prop_oneof![Just(1u64), Just(2), Just(4), Just(8)])
+    (0u8..6, mem_addr_strategy(), any::<u64>(), prop_oneof![Just(1u64), Just(2), Just(4), Just(8)])
+}
+
+/// Byte `a` of a flat model (unwritten bytes read zero).
+fn model_byte(model: &HashMap<u64, u8>, a: u64) -> u8 {
+    model.get(&a).copied().unwrap_or(0)
+}
+
+/// Applies one [`mem_op_strategy`] op to `m` and to the flat `model`,
+/// checking every read against the model and, after the op, the touched
+/// bytes and 8 neighbours on each side.
+fn mem_step(
+    m: &mut SparseMem,
+    model: &mut HashMap<u64, u8>,
+    (kind, addr, value, size): (u8, u64, u64, u64),
+) -> Result<(), TestCaseError> {
+    let at = |i: u64| addr.wrapping_add(i);
+    let touched = match kind {
+        0 | 1 => {
+            m.write(addr, value, size);
+            for i in 0..size {
+                model.insert(at(i), (value >> (8 * i)) as u8);
+            }
+            size
+        }
+        2 | 3 => {
+            let composed =
+                (0..size).map(|i| u64::from(m.read_u8(at(i))) << (8 * i)).fold(0, |v, b| v | b);
+            let want = (0..size)
+                .map(|i| u64::from(model_byte(model, at(i))) << (8 * i))
+                .fold(0, |v, b| v | b);
+            prop_assert_eq!(m.read(addr, size), composed, "read({:#x}, {})", addr, size);
+            prop_assert_eq!(composed, want, "read({:#x}, {})", addr, size);
+            size
+        }
+        4 => {
+            let bytes: Vec<u8> =
+                (0..3 * size).map(|i| (value >> (8 * (i % 8))) as u8 ^ i as u8).collect();
+            m.write_bytes(addr, &bytes);
+            for (i, &b) in bytes.iter().enumerate() {
+                model.insert(at(i as u64), b);
+            }
+            prop_assert_eq!(m.read_bytes(addr, bytes.len()), bytes);
+            3 * size
+        }
+        _ => {
+            // `size` consecutive words, as memory images are built.
+            let words: Vec<u64> = (0..size).map(|i| value.rotate_left(8 * i as u32) ^ i).collect();
+            m.write_words(addr, words.iter().copied());
+            for (i, w) in words.iter().enumerate() {
+                for (j, &b) in w.to_le_bytes().iter().enumerate() {
+                    model.insert(at(8 * i as u64 + j as u64), b);
+                }
+            }
+            8 * size
+        }
+    };
+    for i in 0..touched + 16 {
+        let a = addr.wrapping_sub(8).wrapping_add(i);
+        prop_assert_eq!(
+            m.read_u8(a),
+            model_byte(model, a),
+            "byte {:#x} after op at {:#x}",
+            a,
+            addr
+        );
+    }
+    Ok(())
+}
+
+/// `m` agrees with `model` on every byte the model holds and on 64 bytes
+/// around each probe address, by `read_u8` and by `read_bytes`.
+fn same_bytes(
+    m: &SparseMem,
+    model: &HashMap<u64, u8>,
+    probes: &[u64],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    for (&a, &b) in model {
+        prop_assert_eq!(m.read_u8(a), b, "{}: byte {:#x}", what, a);
+    }
+    for &p in probes {
+        let start = p.wrapping_sub(16);
+        let want: Vec<u8> = (0..64).map(|i| model_byte(model, start.wrapping_add(i))).collect();
+        prop_assert_eq!(m.read_bytes(start, 64), want, "{}: 64 bytes at {:#x}", what, start);
+    }
+    Ok(())
 }
 
 const IMM_MAX: i64 = (1 << 34) - 1;
@@ -166,43 +252,46 @@ proptest! {
         ops in proptest::collection::vec(mem_op_strategy(), 1..48)
     ) {
         let mut m = SparseMem::new();
-        let mut oracle: HashMap<u64, u8> = HashMap::new();
-        let byte = |o: &HashMap<u64, u8>, a: u64| o.get(&a).copied().unwrap_or(0);
-        for (kind, addr, value, size) in ops {
-            let at = |i: u64| addr.wrapping_add(i);
-            match kind {
-                0 | 1 => {
-                    m.write(addr, value, size);
-                    for i in 0..size {
-                        oracle.insert(at(i), (value >> (8 * i)) as u8);
-                    }
-                }
-                2 | 3 => {
-                    let composed = (0..size)
-                        .map(|i| u64::from(m.read_u8(at(i))) << (8 * i))
-                        .fold(0, |v, b| v | b);
-                    let want = (0..size)
-                        .map(|i| u64::from(byte(&oracle, at(i))) << (8 * i))
-                        .fold(0, |v, b| v | b);
-                    prop_assert_eq!(m.read(addr, size), composed, "read({:#x}, {})", addr, size);
-                    prop_assert_eq!(composed, want, "read({:#x}, {})", addr, size);
-                }
-                _ => {
-                    let bytes: Vec<u8> =
-                        (0..3 * size).map(|i| (value >> (8 * (i % 8))) as u8 ^ i as u8).collect();
-                    m.write_bytes(addr, &bytes);
-                    for (i, &b) in bytes.iter().enumerate() {
-                        oracle.insert(at(i as u64), b);
-                    }
-                    prop_assert_eq!(m.read_bytes(addr, bytes.len()), bytes);
-                }
-            }
-            // The touched bytes and 8 neighbours on each side.
-            for i in 0..3 * size + 16 {
-                let a = addr.wrapping_sub(8).wrapping_add(i);
-                prop_assert_eq!(m.read_u8(a), byte(&oracle, a), "byte {:#x} after op at {:#x}", a, addr);
-            }
+        let mut oracle = HashMap::new();
+        for op in ops {
+            mem_step(&mut m, &mut oracle, op)?;
         }
+    }
+
+    /// Clones of a frozen image behave like a flat byte map: reads fall
+    /// through to the image, the first write to a page copies it, and a
+    /// write to one clone is invisible to the image and to a sibling clone.
+    /// Freezing a clone whose image is shared keeps its contents.
+    #[test]
+    fn frozen_image_clones_match_a_flat_model(
+        setup in proptest::collection::vec(mem_op_strategy(), 0..24),
+        ops_a in proptest::collection::vec(mem_op_strategy(), 1..32),
+        ops_b in proptest::collection::vec(mem_op_strategy(), 0..16),
+    ) {
+        let mut image = SparseMem::new();
+        let mut base = HashMap::new();
+        for op in setup {
+            mem_step(&mut image, &mut base, op)?;
+        }
+        let image = image.freeze();
+        prop_assert_eq!(image.private_pages(), 0);
+        let (mut a, mut model_a) = (image.clone(), base.clone());
+        let (mut b, mut model_b) = (image.clone(), base.clone());
+        prop_assert_eq!(a.private_pages(), 0, "a clone copies no page");
+        for &op in &ops_a {
+            mem_step(&mut a, &mut model_a, op)?;
+        }
+        let probes: Vec<u64> = ops_a.iter().chain(&ops_b).map(|&(_, addr, ..)| addr).collect();
+        same_bytes(&image, &base, &probes, "image after writes to a clone")?;
+        same_bytes(&b, &base, &probes, "sibling after writes to a clone")?;
+        for &op in &ops_b {
+            mem_step(&mut b, &mut model_b, op)?;
+        }
+        same_bytes(&a, &model_a, &probes, "clone after writes to its sibling")?;
+        let a = a.freeze();
+        prop_assert_eq!(a.private_pages(), 0);
+        same_bytes(&a, &model_a, &probes, "clone after its own freeze")?;
+        same_bytes(&image, &base, &probes, "image after a clone's freeze")?;
     }
 
     /// Sources/dest classification is stable: every instruction has at

@@ -18,6 +18,7 @@
 
 use crate::Workload;
 use spt_isa::asm::Assembler;
+use spt_isa::interp::SparseMem;
 use spt_isa::Reg;
 
 /// An attack program plus the receiver's probe parameters.
@@ -102,20 +103,16 @@ pub fn spectre_v1() -> Attack {
     a.halt();
     let program = a.assemble().expect("spectre_v1 assembles");
 
-    let mut mem_init = Vec::new();
+    let mut image = SparseMem::new();
     // A[0..16] = 0 (training touches B[0]); the secret byte out of bounds.
-    mem_init.push((A, 0));
-    mem_init.push((A + 8, 0));
-    mem_init.push((A + OOB, SECRET_VALUE));
-    for tr in 0..TRIALS {
-        let last = tr == TRIALS - 1;
-        mem_init.push((IDX + 8 * tr, if last { OOB } else { tr % N }));
-        mem_init.push((NPTR + 8 * tr, if last { COLD1 } else { HOT1 }));
+    image.write_words(A, [0, 0]);
+    image.write(A + OOB, SECRET_VALUE, 8);
+    let last = |tr: u64| tr == TRIALS - 1;
+    image.write_words(IDX, (0..TRIALS).map(|tr| if last(tr) { OOB } else { tr % N }));
+    image.write_words(NPTR, (0..TRIALS).map(|tr| if last(tr) { COLD1 } else { HOT1 }));
+    for (addr, word) in [(HOT1, HOT2), (HOT2, N), (COLD1, COLD2), (COLD2, N)] {
+        image.write(addr, word, 8);
     }
-    mem_init.push((HOT1, HOT2));
-    mem_init.push((HOT2, N));
-    mem_init.push((COLD1, COLD2));
-    mem_init.push((COLD2, N));
 
     Attack {
         workload: Workload {
@@ -124,7 +121,7 @@ pub fn spectre_v1() -> Attack {
             description:
                 "bounds-check bypass: transient out-of-bounds read into a cache transmitter",
             program,
-            mem_init,
+            image: image.freeze(),
             secret_ranges: vec![(A + OOB, 1)],
         },
         probe_base: PROBE,
@@ -187,17 +184,12 @@ pub fn ct_secret() -> Attack {
 
     let gadget_pc = program.label_pc("gadget").expect("gadget label");
     let benign_pc = program.label_pc("benign").expect("benign label");
-    let mut mem_init = Vec::new();
-    mem_init.push((KEYARR, 0));
-    mem_init.push((KEYARR + 8, SECRET_VALUE));
-    for tr in 0..TRIALS {
-        let last = tr == TRIALS - 1;
-        mem_init.push((TPTR + 8 * tr, if last { COLD1 } else { HOTP }));
+    let mut image = SparseMem::new();
+    image.write_words(KEYARR, [0, SECRET_VALUE]);
+    image.write_words(TPTR, (0..TRIALS).map(|tr| if tr == TRIALS - 1 { COLD1 } else { HOTP }));
+    for (addr, word) in [(HOTP, HOTQ), (HOTQ, gadget_pc), (COLD1, COLD2), (COLD2, benign_pc)] {
+        image.write(addr, word, 8);
     }
-    mem_init.push((HOTP, HOTQ));
-    mem_init.push((HOTQ, gadget_pc));
-    mem_init.push((COLD1, COLD2));
-    mem_init.push((COLD2, benign_pc));
 
     Attack {
         workload: Workload {
@@ -206,7 +198,7 @@ pub fn ct_secret() -> Attack {
             description:
                 "non-speculative secret leak: mistrained indirect jump into a transmit gadget",
             program,
-            mem_init,
+            image: image.freeze(),
             secret_ranges: vec![(KEYARR + 8, 8)],
         },
         probe_base: PROBE,
@@ -273,18 +265,12 @@ pub fn implicit_branch() -> Attack {
 
     let gadget_pc = program.label_pc("gadget").expect("gadget label");
     let benign_pc = program.label_pc("benign").expect("benign label");
-    let mut mem_init = vec![
-        (KEYARR, 0),
-        (KEYARR + 8, 1), // any nonzero secret flips the branch
-        (HOTP, HOTQ),
-        (HOTQ, gadget_pc),
-        (COLD1, COLD2),
-        (COLD2, benign_pc),
-    ];
-    for tr in 0..TRIALS {
-        let last = tr == TRIALS - 1;
-        mem_init.push((TPTR + 8 * tr, if last { COLD1 } else { HOTP }));
+    let mut image = SparseMem::new();
+    image.write_words(KEYARR, [0, 1]); // any nonzero secret flips the branch
+    for (addr, word) in [(HOTP, HOTQ), (HOTQ, gadget_pc), (COLD1, COLD2), (COLD2, benign_pc)] {
+        image.write(addr, word, 8);
     }
+    image.write_words(TPTR, (0..TRIALS).map(|tr| if tr == TRIALS - 1 { COLD1 } else { HOTP }));
 
     Attack {
         workload: Workload {
@@ -293,7 +279,7 @@ pub fn implicit_branch() -> Attack {
             description:
                 "resolution-based implicit channel: transient branch on a non-speculative secret",
             program,
-            mem_init,
+            image: image.freeze(),
             secret_ranges: vec![(KEYARR + 8, 8)],
         },
         probe_base: PROBE,

@@ -22,6 +22,7 @@
 
 use crate::{Category, Scale, Workload};
 use spt_isa::asm::Assembler;
+use spt_isa::interp::SparseMem;
 use spt_isa::Reg;
 
 /// Base address of the ChaCha20 initial-state block.
@@ -123,27 +124,20 @@ pub fn chacha20_blocks(nblocks: u64) -> Workload {
 
     // RFC 8439 §2.3.2 initial state: constants, key 00..1f, counter 1,
     // nonce 00:00:00:09 / 00:00:00:4a / 00:00:00:00.
-    let mut mem_init = Vec::new();
     let consts = [0x6170_7865u64, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-    for (i, &c) in consts.iter().enumerate() {
-        mem_init.push((CHACHA_INIT + 8 * i as u64, c));
-    }
-    for k in 0..8u64 {
-        // Key words: bytes 4k..4k+3 little-endian.
-        let w = (4 * k) | ((4 * k + 1) << 8) | ((4 * k + 2) << 16) | ((4 * k + 3) << 24);
-        mem_init.push((CHACHA_INIT + 8 * (4 + k), w));
-    }
-    mem_init.push((CHACHA_INIT + 8 * 12, 1)); // counter
-    mem_init.push((CHACHA_INIT + 8 * 13, 0x0900_0000));
-    mem_init.push((CHACHA_INIT + 8 * 14, 0x4a00_0000));
-    mem_init.push((CHACHA_INIT + 8 * 15, 0));
+    // Key words: bytes 4k..4k+3 little-endian.
+    let key =
+        (0..8u64).map(|k| (4 * k) | ((4 * k + 1) << 8) | ((4 * k + 2) << 16) | ((4 * k + 3) << 24));
+    let counter_nonce = [1, 0x0900_0000, 0x4a00_0000, 0];
+    let mut image = SparseMem::new();
+    image.write_words(CHACHA_INIT, consts.into_iter().chain(key).chain(counter_nonce));
 
     Workload {
         name: "chacha20",
         category: Category::ConstantTime,
         description: "ChaCha20 block function (RFC 8439): ALU-bound, secrets never reach addresses",
         program: a.assemble().expect("chacha20 assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![(CHACHA_INIT + 32, 64)], // the 8 key words
     }
 }
@@ -230,21 +224,20 @@ pub fn bitslice(scale: Scale) -> Workload {
     a.blt(iter, niter, "iter_loop");
     a.halt();
 
-    let mut mem_init = Vec::new();
-    for i in 0..5u64 {
-        // Secret input lanes.
-        mem_init.push((BITSLICE_IN + 8 * i, 0x0123_4567_89ab_cdefu64.rotate_left(7 * i as u32)));
-    }
-    for r in 0..24u64 {
-        mem_init.push((BITSLICE_RC + 8 * r, (r + 1).wrapping_mul(0x9e37_79b9) & 0xffff_ffff));
-    }
+    let mut image = SparseMem::new();
+    // Secret input lanes.
+    image.write_words(BITSLICE_IN, (0..5).map(|i| 0x0123_4567_89ab_cdefu64.rotate_left(7 * i)));
+    image.write_words(
+        BITSLICE_RC,
+        (0..24u64).map(|r| (r + 1).wrapping_mul(0x9e37_79b9) & 0xffff_ffff),
+    );
 
     Workload {
         name: "bitslice",
         category: Category::ConstantTime,
         description: "bitsliced chi-permutation (bitslice-AES style): boolean-op bound",
         program: a.assemble().expect("bitslice assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![(BITSLICE_IN, 40)],
     }
 }
@@ -337,23 +330,20 @@ pub fn ctsort(scale: Scale) -> Workload {
     a.blt(iter, niter, "iter_loop");
     a.halt();
 
-    let mut mem_init = Vec::new();
-    for (idx, &(i, j)) in pairs.iter().enumerate() {
-        mem_init.push((CTSORT_PAIRS + 16 * idx as u64, i as u64));
-        mem_init.push((CTSORT_PAIRS + 16 * idx as u64 + 8, j as u64));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(CTSORT_PAIRS, pairs.iter().flat_map(|&(i, j)| [i as u64, j as u64]));
     // Secret data: a fixed scrambled permutation of 0..N.
-    for i in 0..CTSORT_N as u64 {
-        let v = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) & 0xffff;
-        mem_init.push((CTSORT_DATA + 8 * i, v));
-    }
+    image.write_words(
+        CTSORT_DATA,
+        (0..CTSORT_N as u64).map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) & 0xffff),
+    );
 
     Workload {
         name: "djbsort",
         category: Category::ConstantTime,
         description: "constant-time sorting network (djbsort style): public schedule, secret data",
         program: a.assemble().expect("ctsort assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![(CTSORT_DATA, 8 * CTSORT_N as u64)],
     }
 }
@@ -439,25 +429,32 @@ mod tests {
         // leak trace: no transmitted address or branch outcome may depend
         // on the secret bytes. We verify by flipping secret bits and
         // asserting the leak trace is identical.
+        // Each kernel's secret words get a new value in a clone of its
+        // image; the base image must not see the writes.
+        let flipped = |w: &Workload, flip: fn(u64) -> u64| {
+            let mut image = w.image.clone();
+            for &(base, len) in &w.secret_ranges {
+                for addr in (base..base + len).step_by(8) {
+                    image.write(addr, flip(image.read(addr, 8)), 8);
+                }
+            }
+            for &(base, len) in &w.secret_ranges {
+                assert_ne!(
+                    image.read_bytes(base, len as usize),
+                    w.image.read_bytes(base, len as usize),
+                    "{}: the flip must change the secret, in the clone only",
+                    w.name
+                );
+            }
+            Workload { image, ..w.clone() }
+        };
+        let chacha = chacha20_blocks(1);
+        let sort = ctsort(Scale::Test);
+        assert_eq!(chacha.secret_ranges, [(CHACHA_INIT + 32, 64)]);
+        assert_eq!(sort.secret_ranges, [(CTSORT_DATA, 8 * CTSORT_N as u64)]);
         for (w_base, w_flipped) in [
-            (chacha20_blocks(1), {
-                let mut w = chacha20_blocks(1);
-                for (addr, val) in w.mem_init.iter_mut() {
-                    if *addr >= CHACHA_INIT + 32 && *addr < CHACHA_INIT + 96 {
-                        *val ^= 0xffff_ffff;
-                    }
-                }
-                w
-            }),
-            (ctsort(Scale::Test), {
-                let mut w = ctsort(Scale::Test);
-                for (addr, val) in w.mem_init.iter_mut() {
-                    if *addr >= CTSORT_DATA {
-                        *val = (*val).wrapping_mul(3).wrapping_add(17) % 9973;
-                    }
-                }
-                w
-            }),
+            (chacha.clone(), flipped(&chacha, |v| v ^ 0xffff_ffff)),
+            (sort.clone(), flipped(&sort, |v| v.wrapping_mul(3).wrapping_add(17) % 9973)),
         ] {
             let trace = |w: &Workload| {
                 let mut i = w.interp();

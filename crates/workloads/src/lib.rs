@@ -109,26 +109,19 @@ pub struct Workload {
     pub description: &'static str,
     /// The assembled program.
     pub program: Program,
-    /// Initial memory contents as `(addr, 8-byte word)` pairs.
-    pub mem_init: Vec<(u64, u64)>,
+    /// Initial memory contents, frozen (see [`SparseMem::freeze`]): every
+    /// machine and interpreter starts from a clone of this image and copies
+    /// only the pages it writes.
+    pub image: SparseMem,
     /// Address ranges `(base, len)` holding secret inputs (constant-time
     /// kernels only): data the program never leaks non-speculatively.
     pub secret_ranges: Vec<(u64, u64)>,
 }
 
 impl Workload {
-    /// Applies the initial memory image to a sparse store.
-    pub fn apply_memory(&self, mem: &mut SparseMem) {
-        for &(addr, word) in &self.mem_init {
-            mem.write(addr, word, 8);
-        }
-    }
-
-    /// Builds a reference interpreter with the initial memory applied.
+    /// Builds a reference interpreter over a clone of the initial image.
     pub fn interp(&self) -> Interp<'_> {
-        let mut mem = SparseMem::new();
-        self.apply_memory(&mut mem);
-        Interp::with_memory(&self.program, mem)
+        Interp::with_memory(&self.program, self.image.clone())
     }
 }
 
@@ -174,6 +167,15 @@ mod tests {
             let mut i = w.interp();
             i.run(3_000_000).unwrap_or_else(|e| panic!("workload {} did not halt: {e}", w.name));
             assert!(i.halted(), "{}", w.name);
+        }
+    }
+
+    #[test]
+    fn images_are_frozen() {
+        for scale in [Scale::Test, Scale::Bench] {
+            for w in full_suite(scale) {
+                assert_eq!(w.image.private_pages(), 0, "{} must freeze its image", w.name);
+            }
         }
     }
 

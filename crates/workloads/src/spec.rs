@@ -31,6 +31,7 @@ use crate::{Category, Scale, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spt_isa::asm::Assembler;
+use spt_isa::interp::SparseMem;
 use spt_isa::Reg;
 
 const R: [Reg; 32] = [
@@ -77,6 +78,30 @@ fn rng_for(name: &str) -> SmallRng {
     // zero XOR term, leaving the historical streams untouched.
     seed ^= crate::input_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15);
     SmallRng::seed_from_u64(seed)
+}
+
+/// Writes `n` rows of `K` words as `K` parallel arrays starting at `bases`,
+/// drawing the rows with `row` in order: interleaved draws land in
+/// separate arrays a page of each at a time, with no intermediate vector.
+fn write_columns<const K: usize>(
+    image: &mut SparseMem,
+    bases: [u64; K],
+    n: u64,
+    mut row: impl FnMut() -> [u64; K],
+) {
+    const ROWS: usize = 512; // one page of each array
+    let mut cols = [[0u64; ROWS]; K];
+    for start in (0..n).step_by(ROWS) {
+        let len = ROWS.min((n - start) as usize);
+        for i in 0..len {
+            for (col, word) in cols.iter_mut().zip(row()) {
+                col[i] = word;
+            }
+        }
+        for (col, base) in cols.iter().zip(bases) {
+            image.write_words(base + 8 * start, col[..len].iter().copied());
+        }
+    }
 }
 
 /// `perlbench`: bytecode interpreter with indirect dispatch.
@@ -137,22 +162,19 @@ pub fn perlbench(scale: Scale) -> Workload {
     let program = a.assemble().expect("perlbench assembles");
 
     let mut rng = rng_for("perlbench");
-    let mut mem_init = Vec::new();
-    for i in 0..code_len {
-        mem_init.push((CODE + 8 * i, rng.gen_range(0..5)));
-    }
-    for (k, label) in ["op0", "op1", "op2", "op3", "op4"].iter().enumerate() {
-        mem_init.push((JT + 8 * k as u64, program.label_pc(label).expect("label")));
-    }
-    for i in 0..hash_words {
-        mem_init.push((HASH + 8 * i, rng.gen_range(0..1000)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(CODE, (0..code_len).map(|_| rng.gen_range(0..5)));
+    image.write_words(
+        JT,
+        ["op0", "op1", "op2", "op3", "op4"].map(|label| program.label_pc(label).expect("label")),
+    );
+    image.write_words(HASH, (0..hash_words).map(|_| rng.gen_range(0..1000)));
     Workload {
         name: "perlbench",
         category: Category::SpecInt,
         description: "interpreter dispatch: loaded opcodes drive indirect jumps and hash probes",
         program,
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -204,20 +226,20 @@ pub fn gcc(scale: Scale) -> Workload {
     for i in (1..count as usize).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
-    let mut mem_init = Vec::new();
+    // Three words per 32-byte node, filled in walk order.
+    let mut nodes = vec![[0u64; 3]; count as usize];
     for w in 0..count as usize {
-        let node = NODES + order[w] * 32;
         let next_off = if w + 1 < count as usize { order[w + 1] * 32 } else { 0 };
-        mem_init.push((node, next_off));
-        mem_init.push((node + 8, rng.gen_range(0..3)));
-        mem_init.push((node + 16, rng.gen_range(0..4096)));
+        nodes[order[w] as usize] = [next_off, rng.gen_range(0..3), rng.gen_range(0..4096)];
     }
+    let mut image = SparseMem::new();
+    image.write_words(NODES, nodes.iter().flat_map(|&[next, kind, val]| [next, kind, val, 0]));
     Workload {
         name: "gcc",
         category: Category::SpecInt,
         description: "IR list walk: loaded next-pointers plus kind-dispatch branches",
         program: a.assemble().expect("gcc assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -277,28 +299,27 @@ pub fn mcf(scale: Scale) -> Workload {
     for i in (1..count as usize).rev() {
         order.swap(i, rng.gen_range(0..=i));
     }
-    let mut mem_init = Vec::new();
+    // Two words per 64-byte arc, filled in ring order.
+    let mut arcs = vec![[0u64; 2]; count as usize];
     for w in 0..count as usize {
-        let base = ARCS + order[w] * 64;
         let next = ARCS + order[(w + 1) % count as usize] * 64; // ring
-        mem_init.push((base, next));
-        mem_init.push((base + 8, rng.gen_range(0..1000)));
+        arcs[order[w] as usize] = [next, rng.gen_range(0..1000)];
     }
     // The chain entry points are fixed arc slots; make sure each points
     // into the ring.
-    for c in 0..CHAINS as u64 {
-        let entry = ARCS + c * (count / CHAINS as u64) * 64;
+    for c in 0..CHAINS {
         let next = ARCS + order[rng.gen_range(0..count as usize)] * 64;
-        mem_init.push((entry, next));
-        mem_init.push((entry + 8, rng.gen_range(0..1000)));
+        arcs[c * (count as usize / CHAINS)] = [next, rng.gen_range(0..1000)];
     }
+    let mut image = SparseMem::new();
+    image.write_words(ARCS, arcs.iter().flat_map(|&[next, cost]| [next, cost, 0, 0, 0, 0, 0, 0]));
     Workload {
         name: "mcf",
         category: Category::SpecInt,
         description:
             "network-simplex arc chasing: four parallel loaded-address chains, cache-hostile",
         program: a.assemble().expect("mcf assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -348,16 +369,14 @@ pub fn omnetpp(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("omnetpp");
-    let mut mem_init = Vec::new();
-    for k in 0..=n {
-        mem_init.push((HEAP + 8 * k, rng.gen_range(0..1_000_000)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(HEAP, (0..=n).map(|_| rng.gen_range(0..1_000_000)));
     Workload {
         name: "omnetpp",
         category: Category::SpecInt,
         description: "event-queue sift-down: loaded values steer branches and the next address",
         program: a.assemble().expect("omnetpp assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -405,26 +424,24 @@ pub fn xalancbmk(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("xalancbmk");
-    let mut mem_init = Vec::new();
-    // A complete binary tree laid out level-by-level with randomized keys
-    // that respect BST order loosely (exact order is irrelevant: descent
-    // terminates at a leaf regardless).
-    for k in 0..nodes {
-        let node = TREE + k * 32;
-        let (l, r) = (2 * k + 1, 2 * k + 2);
-        mem_init.push((node, if l < nodes { l * 32 } else { 0 }));
-        mem_init.push((node + 8, if r < nodes { r * 32 } else { 0 }));
-        mem_init.push((node + 16, rng.gen_range(0..1_000_000)));
-    }
-    for k in 0..nkeys {
-        mem_init.push((KEYS + 8 * k, rng.gen_range(0..1_000_000)));
-    }
+    let mut image = SparseMem::new();
+    // A complete binary tree of 32-byte nodes laid out level-by-level with
+    // randomized keys that respect BST order loosely (exact order is
+    // irrelevant: descent terminates at a leaf regardless).
+    image.write_words(
+        TREE,
+        (0..nodes).flat_map(|k| {
+            let child = |c: u64| if c < nodes { c * 32 } else { 0 };
+            [child(2 * k + 1), child(2 * k + 2), rng.gen_range(0..1_000_000), 0]
+        }),
+    );
+    image.write_words(KEYS, (0..nkeys).map(|_| rng.gen_range(0..1_000_000)));
     Workload {
         name: "xalancbmk",
         category: Category::SpecInt,
         description: "DOM-tree descent: loaded child pointers plus key-compare branches",
         program: a.assemble().expect("xalancbmk assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -463,17 +480,14 @@ pub fn x264(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("x264");
-    let mut mem_init = Vec::new();
-    for k in 0..(len / 8) {
-        mem_init.push((BLK_A + 8 * k, rng.gen::<u64>()));
-        mem_init.push((BLK_B + 8 * k, rng.gen::<u64>()));
-    }
+    let mut image = SparseMem::new();
+    write_columns(&mut image, [BLK_A, BLK_B], len / 8, || [rng.gen(), rng.gen()]);
     Workload {
         name: "x264",
         category: Category::SpecInt,
         description: "SAD kernel: streaming byte loads, branch-free arithmetic, L1-resident",
         program: a.assemble().expect("x264 assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -520,17 +534,15 @@ pub fn deepsjeng(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("deepsjeng");
-    let mut mem_init = Vec::new();
-    for k in 0..words {
-        mem_init.push((TABLE + 8 * k, rng.gen::<u64>() & 0xffff));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(TABLE, (0..words).map(|_| rng.gen::<u64>() & 0xffff));
     Workload {
         name: "deepsjeng",
         category: Category::SpecInt,
         description:
             "transposition-table probes: hashed addresses, hard-to-predict loaded branches",
         program: a.assemble().expect("deepsjeng assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -568,20 +580,17 @@ pub fn leela(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("leela");
-    let mut mem_init = Vec::new();
-    for k in 0..(cells / 8) {
-        let mut w = 0u64;
-        for b in 0..8 {
-            w |= (rng.gen_range(0..3u64)) << (8 * b);
-        }
-        mem_init.push((BOARD + 8 * k, w));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(
+        BOARD,
+        (0..cells / 8).map(|_| (0..8).fold(0u64, |w, b| w | rng.gen_range(0..3u64) << (8 * b))),
+    );
     Workload {
         name: "leela",
         category: Category::SpecInt,
         description: "Go-board scan: byte gathers with occupancy branches",
         program: a.assemble().expect("leela assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -632,7 +641,7 @@ pub fn exchange2(scale: Scale) -> Workload {
         category: Category::SpecInt,
         description: "backtracking on an explicit stack: dense store-to-load forwarding",
         program: a.assemble().expect("exchange2 assembles"),
-        mem_init: Vec::new(),
+        image: SparseMem::new(),
         secret_ranges: vec![],
     }
 }
@@ -681,21 +690,18 @@ pub fn xz(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("xz");
-    let mut mem_init = Vec::new();
-    for k in 0..(hist_len / 8) {
-        // Low-entropy bytes so matches have varied lengths.
-        let mut w = 0u64;
-        for b in 0..8 {
-            w |= (rng.gen_range(0..4u64)) << (8 * b);
-        }
-        mem_init.push((HIST + 8 * k, w));
-    }
+    let mut image = SparseMem::new();
+    // Low-entropy bytes so matches have varied lengths.
+    image.write_words(
+        HIST,
+        (0..hist_len / 8).map(|_| (0..8).fold(0u64, |w, b| w | rng.gen_range(0..4u64) << (8 * b))),
+    );
     Workload {
         name: "xz",
         category: Category::SpecInt,
         description: "LZ match loops: byte compares with data-dependent exits over a big history",
         program: a.assemble().expect("xz assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -734,16 +740,14 @@ pub fn bwaves(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("bwaves");
-    let mut mem_init = Vec::new();
-    for k in 0..n {
-        mem_init.push((SRC + 8 * k, rng.gen_range(0..1u64 << 32)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(SRC, (0..n).map(|_| rng.gen_range(0..1u64 << 32)));
     Workload {
         name: "bwaves",
         category: Category::SpecFp,
         description: "blast-wave stencil: streaming loads/stores, loop-only branches",
         program: a.assemble().expect("bwaves assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -782,16 +786,14 @@ pub fn cactu(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("cactu");
-    let mut mem_init = Vec::new();
-    for k in 0..n {
-        mem_init.push((GRID + 8 * k, rng.gen_range(0..1u64 << 24)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(GRID, (0..n).map(|_| rng.gen_range(0..1u64 << 24)));
     Workload {
         name: "cactuBSSN",
         category: Category::SpecFp,
         description: "relativity stencil: five-point gathers, arithmetic dense, L2 resident",
         program: a.assemble().expect("cactu assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -832,20 +834,18 @@ pub fn namd(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("namd");
-    let mut mem_init = Vec::new();
-    for p in 0..npairs {
-        mem_init.push((IDX + 16 * p, rng.gen_range(0..npos)));
-        mem_init.push((IDX + 16 * p + 8, rng.gen_range(0..npos)));
-    }
-    for p in 0..npos {
-        mem_init.push((POS + 8 * p, rng.gen_range(0..1u64 << 20)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(
+        IDX,
+        (0..npairs).flat_map(|_| [rng.gen_range(0..npos), rng.gen_range(0..npos)]),
+    );
+    image.write_words(POS, (0..npos).map(|_| rng.gen_range(0..1u64 << 20)));
     Workload {
         name: "namd",
         category: Category::SpecFp,
         description: "molecular pair gather: small hot positions array, forward-untaint friendly",
         program: a.assemble().expect("namd assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -896,20 +896,17 @@ pub fn parest(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("parest");
-    let mut mem_init = Vec::new();
-    for k in 0..(rows * nnz_per_row) {
-        mem_init.push((COL + 8 * k, rng.gen_range(0..ncols)));
-        mem_init.push((VAL + 8 * k, rng.gen_range(0..256)));
-    }
-    for k in 0..ncols {
-        mem_init.push((X + 8 * k, rng.gen_range(0..4096)));
-    }
+    let mut image = SparseMem::new();
+    write_columns(&mut image, [COL, VAL], rows * nnz_per_row, || {
+        [rng.gen_range(0..ncols), rng.gen_range(0..256)]
+    });
+    image.write_words(X, (0..ncols).map(|_| rng.gen_range(0..4096)));
     Workload {
         name: "parest",
         category: Category::SpecFp,
         description: "FEM sparse mat-vec: streaming CSR with indirect x[col[j]] gathers",
         program: a.assemble().expect("parest assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -957,17 +954,17 @@ pub fn povray(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("povray");
-    let mut mem_init = Vec::new();
-    for k in 0..nspheres {
-        mem_init.push((SPHERES + 16 * k, rng.gen_range(0..65_536)));
-        mem_init.push((SPHERES + 16 * k + 8, rng.gen_range(0..1u64 << 28)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(
+        SPHERES,
+        (0..nspheres).flat_map(|_| [rng.gen_range(0..65_536), rng.gen_range(0..1u64 << 28)]),
+    );
     Workload {
         name: "povray",
         category: Category::SpecFp,
         description: "ray-sphere tests: multiply chains with sign branches, tiny working set",
         program: a.assemble().expect("povray assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1003,17 +1000,16 @@ pub fn fotonik(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("fotonik");
-    let mut mem_init = Vec::new();
-    for k in 0..n {
-        mem_init.push((E + 8 * k, rng.gen_range(0..1u64 << 30)));
-        mem_init.push((H + 8 * k, rng.gen_range(0..1u64 << 30)));
-    }
+    let mut image = SparseMem::new();
+    write_columns(&mut image, [E, H], n, || {
+        [rng.gen_range(0..1u64 << 30), rng.gen_range(0..1u64 << 30)]
+    });
     Workload {
         name: "fotonik3d",
         category: Category::SpecFp,
         description: "FDTD field update: pure streaming, DRAM-bandwidth bound, loop-only branches",
         program: a.assemble().expect("fotonik assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1053,16 +1049,14 @@ pub fn lbm(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("lbm");
-    let mut mem_init = Vec::new();
-    for k in 0..cells {
-        mem_init.push((DIST + 8 * k, rng.gen_range(0..1u64 << 28)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(DIST, (0..cells).map(|_| rng.gen_range(0..1u64 << 28)));
     Workload {
         name: "lbm",
         category: Category::SpecFp,
         description: "lattice-Boltzmann relaxation: wide streaming gathers, store heavy",
         program: a.assemble().expect("lbm assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1105,19 +1099,15 @@ pub fn wrf(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("wrf");
-    let mut mem_init = Vec::new();
-    for k in 0..cells {
-        mem_init.push((FIELD + 8 * k, rng.gen_range(0..1u64 << 20)));
-    }
-    for k in 0..table_words {
-        mem_init.push((TABLE + 8 * k, rng.gen_range(1..4096)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(FIELD, (0..cells).map(|_| rng.gen_range(0..1u64 << 20)));
+    image.write_words(TABLE, (0..table_words).map(|_| rng.gen_range(1..4096)));
     Workload {
         name: "wrf",
         category: Category::SpecFp,
         description: "column physics: streaming field update through hot lookup tables",
         program: a.assemble().expect("wrf assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1158,16 +1148,14 @@ pub fn cam4(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("cam4");
-    let mut mem_init = Vec::new();
-    for k in 0..cells {
-        mem_init.push((STATE + 8 * k, rng.gen_range(0..1u64 << 20)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(STATE, (0..cells).map(|_| rng.gen_range(0..1u64 << 20)));
     Workload {
         name: "cam4",
         category: Category::SpecFp,
         description: "atmosphere physics: streaming with hard-to-predict loaded-value branches",
         program: a.assemble().expect("cam4 assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1216,16 +1204,14 @@ pub fn imagick(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("imagick");
-    let mut mem_init = Vec::new();
-    for k in 0..n {
-        mem_init.push((IMG + 8 * k, rng.gen_range(0..256)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(IMG, (0..n).map(|_| rng.gen_range(0..256)));
     Workload {
         name: "imagick",
         category: Category::SpecFp,
         description: "3x3 convolution: nine-point gathers, multiply dense, branch light",
         program: a.assemble().expect("imagick assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1272,16 +1258,14 @@ pub fn nab(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("nab");
-    let mut mem_init = Vec::new();
-    for p in 0..npos {
-        mem_init.push((POS + 8 * p, rng.gen_range(1..1u64 << 16)));
-    }
+    let mut image = SparseMem::new();
+    image.write_words(POS, (0..npos).map(|_| rng.gen_range(1..1u64 << 16)));
     Workload {
         name: "nab",
         category: Category::SpecFp,
         description: "nucleic-acid dynamics: serial multiply chains dominate, few branches",
         program: a.assemble().expect("nab assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1323,17 +1307,16 @@ pub fn roms(scale: Scale) -> Workload {
     a.halt();
 
     let mut rng = rng_for("roms");
-    let mut mem_init = Vec::new();
-    for k in 0..n {
-        mem_init.push((U + 8 * k, rng.gen_range(0..1u64 << 16)));
-        mem_init.push((W + 8 * k, rng.gen_range(0..1u64 << 16)));
-    }
+    let mut image = SparseMem::new();
+    write_columns(&mut image, [U, W], n, || {
+        [rng.gen_range(0..1u64 << 16), rng.gen_range(0..1u64 << 16)]
+    });
     Workload {
         name: "roms",
         category: Category::SpecFp,
         description: "ocean-model stencil: two streamed fields combined, bandwidth bound",
         program: a.assemble().expect("roms assembles"),
-        mem_init,
+        image: image.freeze(),
         secret_ranges: vec![],
     }
 }
@@ -1401,18 +1384,23 @@ mod tests {
     fn bench_scale_assembles() {
         // Bench-scale programs are identical code with bigger parameters;
         // just verify they build and their memory images are sized sanely.
-        let total: usize = suite(Scale::Bench).iter().map(|w| w.mem_init.len()).sum();
-        assert!(total > 500_000, "bench memory images should be substantial, got {total}");
+        let suite = suite(Scale::Bench);
+        let words: usize = suite.iter().map(|w| w.image.image_pages() * 4096 / 8).sum();
+        assert!(words > 500_000, "bench memory images should be substantial, got {words} words");
+        for w in &suite {
+            // exchange2 keeps all of its data on its explicit stack.
+            assert_eq!(w.image.image_pages() == 0, w.name == "exchange2", "{}", w.name);
+        }
     }
 
     #[test]
     fn perlbench_jump_table_points_into_program() {
         let w = perlbench(Scale::Test);
         let plen = w.program.len() as u64;
-        for (addr, val) in &w.mem_init {
-            if (0x11_0000..0x11_0000 + 40).contains(addr) {
-                assert!(*val < plen, "jump table entry {val} out of program bounds");
-            }
+        for (k, label) in ["op0", "op1", "op2", "op3", "op4"].iter().enumerate() {
+            let val = w.image.read(0x11_0000 + 8 * k as u64, 8);
+            assert!(val < plen, "jump table entry {val} out of program bounds");
+            assert_eq!(Some(val), w.program.label_pc(label), "jump table entry {k}");
         }
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Config::secure_baseline(threat),
     ] {
         let mut m = Machine::new(attack.workload.program.clone(), CoreConfig::default(), config);
-        attack.workload.apply_memory(m.mem_mut().store());
+        *m.mem_mut().store() = attack.workload.image.clone();
         m.run(RunLimits::default())?;
         let leaked = m.probe(attack.leak_addr()) != Level::Dram;
         println!("{:<24} {:>10}", format!("{config}"), if leaked { "LEAKED" } else { "safe" });
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Config::spt_full(threat),
         ] {
             let mut m = Machine::new(w.program.clone(), CoreConfig::default(), config);
-            w.apply_memory(m.mem_mut().store());
+            *m.mem_mut().store() = w.image.clone();
             let out = m.run(RunLimits::retired(20_000))?;
             cycles.push(out.cycles as f64);
         }

@@ -16,7 +16,7 @@ use spt_repro::workloads::attacks::{self, Attack};
 
 fn leak(attack: &Attack, config: Config) -> bool {
     let mut m = Machine::new(attack.workload.program.clone(), CoreConfig::default(), config);
-    attack.workload.apply_memory(m.mem_mut().store());
+    *m.mem_mut().store() = attack.workload.image.clone();
     m.run(RunLimits::default()).expect("attack runs");
     m.probe(attack.leak_addr()) != Level::Dram
 }

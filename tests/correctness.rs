@@ -33,7 +33,7 @@ fn every_workload_matches_the_interpreter_under_every_config() {
         for threat in [ThreatModel::Spectre, ThreatModel::Futuristic] {
             for config in Config::table2(threat) {
                 let mut m = Machine::new(w.program.clone(), CoreConfig::default(), config);
-                w.apply_memory(m.mem_mut().store());
+                *m.mem_mut().store() = w.image.clone();
                 let out = m
                     .run(RunLimits::default())
                     .unwrap_or_else(|e| panic!("{} under {config}: {e}", w.name));
@@ -60,7 +60,7 @@ fn tiny_core_configuration_is_also_correct() {
             Config::secure_baseline(ThreatModel::Spectre),
         ] {
             let mut m = Machine::new(w.program.clone(), CoreConfig::tiny(), config);
-            w.apply_memory(m.mem_mut().store());
+            *m.mem_mut().store() = w.image.clone();
             let out = m
                 .run(RunLimits::default())
                 .unwrap_or_else(|e| panic!("{} tiny under {config}: {e}", w.name));
@@ -75,7 +75,7 @@ fn runs_are_deterministic() {
     let config = Config::spt_full(ThreatModel::Futuristic);
     let run = || {
         let mut m = Machine::new(w.program.clone(), CoreConfig::default(), config);
-        w.apply_memory(m.mem_mut().store());
+        *m.mem_mut().store() = w.image.clone();
         let out = m.run(RunLimits::default()).expect("runs");
         (out.cycles, out.retired, m.stats().spt.events.total())
     };
@@ -97,7 +97,7 @@ fn chacha20_rfc_vector_on_the_pipeline() {
         CoreConfig::default(),
         Config::spt_full(ThreatModel::Futuristic),
     );
-    w.apply_memory(m.mem_mut().store());
+    *m.mem_mut().store() = w.image.clone();
     m.run(RunLimits::default()).expect("runs");
     for (k, &e) in expected.iter().enumerate() {
         let got = m.mem().store_ref().read(spt_repro::workloads::ct::CHACHA_OUT + 8 * k as u64, 8);
@@ -149,12 +149,12 @@ fn parsed_programs_run_identically_to_built_ones() {
         CoreConfig::default(),
         Config::spt_full(ThreatModel::Futuristic),
     );
-    w.apply_memory(m1.mem_mut().store());
+    *m1.mem_mut().store() = w.image.clone();
     let out1 = m1.run(RunLimits::default()).unwrap();
 
     let mut m2 =
         Machine::new(reparsed, CoreConfig::default(), Config::spt_full(ThreatModel::Futuristic));
-    w.apply_memory(m2.mem_mut().store());
+    *m2.mem_mut().store() = w.image.clone();
     let out2 = m2.run(RunLimits::default()).unwrap();
     assert_eq!(out1.cycles, out2.cycles, "identical programs take identical cycles");
     assert_eq!(out1.retired, out2.retired);

@@ -11,7 +11,6 @@
 //! O3PipeView bytes (with SPT events) and validator reports.
 
 use spt_bench::runner::{default_jobs, prepare_machine, run_indexed};
-use spt_fuzz::generator::SECRET_BASE;
 use spt_fuzz::TestProgram;
 use spt_repro::core::{Config, ThreatModel};
 use spt_repro::isa::asm::Assembler;
@@ -102,10 +101,7 @@ fn lockstep(label: &str, build: impl Fn() -> Machine, limits: RunLimits) -> Mach
 
 fn fuzz_machine(tp: &TestProgram, cfg: Config) -> Machine {
     let mut mem = MemSystem::default();
-    for &(addr, word) in &tp.mem_words {
-        mem.store().write(addr, word, 8);
-    }
-    mem.store().write_bytes(SECRET_BASE, &tp.secret);
+    *mem.store() = tp.memory(&tp.secret);
     Machine::with_memory(tp.program.clone(), CoreConfig::default(), cfg, mem)
 }
 

@@ -13,6 +13,7 @@
 use spt_bench::runner::{prepare_machine, run_prepared, run_workload, SweepError};
 use spt_repro::core::{Config, ThreatModel};
 use spt_repro::isa::asm::Assembler;
+use spt_repro::isa::interp::SparseMem;
 use spt_repro::isa::Reg;
 use spt_repro::ooo::{RunLimits, SimError};
 use spt_repro::workloads::{ct_suite, spec_suite, Category, Scale, Workload};
@@ -201,7 +202,7 @@ fn wedged_workload() -> Workload {
         category: Category::SpecInt,
         description: "runs off the end without halting (watchdog test)",
         program,
-        mem_init: vec![],
+        image: SparseMem::new(),
         secret_ranges: vec![],
     }
 }
@@ -213,7 +214,7 @@ fn deadlock_watchdog_reports_cell_identity() {
     let err: SweepError =
         run_workload(&w, cfg, BUDGET).expect_err("wedged program must not complete");
     assert_eq!(err.workload, "wedged");
-    assert_eq!(err.config, cfg.name());
+    assert_eq!(err.config, cfg.to_string());
     assert_eq!(err.threat, ThreatModel::Futuristic);
     match err.source {
         SimError::Deadlock { cycle, retired, head_pc } => {
@@ -225,4 +226,10 @@ fn deadlock_watchdog_reports_cell_identity() {
     let text = err.to_string();
     assert!(text.contains("wedged"), "display names the workload: {text}");
     assert!(text.contains("deadlock"), "display names the failure: {text}");
+    // A width-ablation cell names its width, so its error is told apart
+    // from the default-width cell's.
+    let narrow = Config { broadcast_width: 1, ..cfg };
+    let err = run_workload(&w, narrow, BUDGET).expect_err("wedged program must not complete");
+    assert_eq!(err.config, "SPT{Bwd,ShadowL1} [futuristic] (width 1)");
+    assert!(err.to_string().contains("(width 1)"), "{err}");
 }

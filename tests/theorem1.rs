@@ -9,7 +9,7 @@ use spt_repro::workloads::{attacks, full_suite, Scale, Workload};
 
 fn validate(w: &Workload, config: Config, budget: u64) -> (u64, Vec<String>) {
     let mut m = Machine::new(w.program.clone(), CoreConfig::default(), config);
-    w.apply_memory(m.mem_mut().store());
+    *m.mem_mut().store() = w.image.clone();
     m.enable_validation();
     m.run(RunLimits::retired(budget)).unwrap_or_else(|e| panic!("{} under {config}: {e}", w.name));
     m.validation_report().expect("validator enabled")
