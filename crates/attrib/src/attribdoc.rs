@@ -9,14 +9,16 @@
 //!   Figure-7 matrix: per-cell stacked components with the consistency
 //!   verdict.
 //!
-//! [`validate_attrib_document`] is the schema gate both binaries expose
-//! as `--validate`: it checks structure *and* the semantic invariants the
-//! acceptance criteria pin (every stall has a named cause and a positive
-//! delta; every accounting cell's stack reproduces its delta within the
-//! document's own tolerance).
+//! [`TRACEDIFF_DOC`] and [`ACCOUNTING_DOC`] declare both shapes for
+//! [`spt_util::schema::validate`], which the `validate` binary runs. Each
+//! adds rules the shape cannot say: every stall has a positive delta (and,
+//! by its shape, a named cause), and every accounting cell's stack sums to
+//! its components and reproduces its delta within the document's own
+//! tolerance.
 
 use crate::accounting::AccountingReport;
 use crate::diff::{StageDeltas, TraceDiff};
+use spt_util::schema::{req, Schema, SchemaError, Shape};
 use spt_util::Json;
 
 /// Schema identifier stamped into every document this module emits.
@@ -145,129 +147,125 @@ pub fn accounting_document(r: &AccountingReport) -> Json {
     ])
 }
 
-fn req<'a>(doc: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("{what}: missing `{key}`"))
+const STAGES: Shape = Shape::Obj(&[req(
+    "fetch_to_dispatch dispatch_to_issue issue_to_complete complete_to_retire",
+    &Shape::Int,
+)]);
+
+const CAUSE: Shape =
+    Shape::Obj(&[req("cause", &Shape::NonEmptyStr), req("cycles instructions", &Shape::Int)]);
+
+const STALL: Shape = Shape::Obj(&[
+    req("rank seq_a seq_b delta", &Shape::Int),
+    req("pc cause", &Shape::NonEmptyStr),
+    req("disasm detail", &Shape::Str),
+    req("stages", &STAGES),
+]);
+
+/// The `"tracediff"` document: [`diff_document`]'s output.
+pub static TRACEDIFF_DOC: Schema = Schema {
+    tag: ATTRIB_SCHEMA,
+    kind: Some("tracediff"),
+    shape: Shape::Obj(&[
+        req("trace_a trace_b", &Shape::Str),
+        req(
+            "alignment",
+            &Shape::Obj(&[
+                req("retired_a retired_b matched pc_mismatches", &Shape::Int),
+                req("rate", &Shape::Num),
+            ]),
+        ),
+        req(
+            "totals",
+            &Shape::Obj(&[
+                req("cycles_a cycles_b latency_delta improvement_cycles", &Shape::Int),
+                req("stages", &STAGES),
+                req("causes", &Shape::Arr(&CAUSE)),
+            ]),
+        ),
+        req("stall_count", &Shape::Int),
+        req("stalls", &Shape::Arr(&STALL)),
+    ]),
+    rules: Some(stalls_are_slowdowns),
+};
+
+fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or_default()
 }
 
-fn req_num(doc: &Json, key: &str, what: &str) -> Result<f64, String> {
-    req(doc, key, what)?.as_f64().ok_or_else(|| format!("{what}: `{key}` is not a number"))
+fn num(doc: &Json, key: &str) -> f64 {
+    doc.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-fn req_str<'a>(doc: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    req(doc, key, what)?.as_str().ok_or_else(|| format!("{what}: `{key}` is not a string"))
-}
-
-fn validate_stages(doc: &Json, what: &str) -> Result<(), String> {
-    let stages = req(doc, "stages", what)?;
-    for key in ["fetch_to_dispatch", "dispatch_to_issue", "issue_to_complete", "complete_to_retire"]
-    {
-        if stages.get(key).and_then(Json::as_i64).is_none() {
-            return Err(format!("{what}: stages.{key} missing or not an integer"));
-        }
-    }
-    Ok(())
-}
-
-fn validate_tracediff(doc: &Json) -> Result<(), String> {
-    let align = req(doc, "alignment", "tracediff")?;
-    for key in ["retired_a", "retired_b", "matched", "rate", "pc_mismatches"] {
-        req_num(align, key, "tracediff alignment")?;
-    }
-    let totals = req(doc, "totals", "tracediff")?;
-    req_num(totals, "latency_delta", "tracediff totals")?;
-    validate_stages(totals, "tracediff totals")?;
-    let causes = req(totals, "causes", "tracediff totals")?
-        .as_arr()
-        .ok_or("tracediff totals: `causes` is not an array")?;
-    for c in causes {
-        req_str(c, "cause", "tracediff cause total")?;
-        req_num(c, "cycles", "tracediff cause total")?;
-    }
-    let stalls =
-        req(doc, "stalls", "tracediff")?.as_arr().ok_or("tracediff: `stalls` is not an array")?;
-    for (i, s) in stalls.iter().enumerate() {
-        let what = format!("tracediff stall #{i}");
-        let delta = req(s, "delta", &what)?
-            .as_i64()
-            .ok_or_else(|| format!("{what}: `delta` is not an integer"))?;
-        if delta <= 0 {
-            return Err(format!("{what}: stall delta must be positive, got {delta}"));
-        }
-        let cause = req_str(s, "cause", &what)?;
-        if cause.is_empty() {
-            return Err(format!("{what}: empty cause"));
-        }
-        req_str(s, "pc", &what)?;
-        req_num(s, "seq_b", &what)?;
-        validate_stages(s, &what)?;
-    }
-    Ok(())
-}
-
-fn validate_accounting(doc: &Json) -> Result<(), String> {
-    req_str(doc, "threat", "fig7-accounting")?;
-    let tol = req_num(doc, "tolerance", "fig7-accounting")?;
-    for key in ["configs", "workloads"] {
-        if req(doc, key, "fig7-accounting")?.as_arr().is_none() {
-            return Err(format!("fig7-accounting: `{key}` is not an array"));
-        }
-    }
-    let cells = req(doc, "cells", "fig7-accounting")?
-        .as_arr()
-        .ok_or("fig7-accounting: `cells` is not an array")?;
-    if cells.is_empty() {
-        return Err("fig7-accounting: empty cell list".into());
-    }
-    for (i, c) in cells.iter().enumerate() {
-        let what = format!("fig7-accounting cell #{i}");
-        req_str(c, "workload", &what)?;
-        req_str(c, "config", &what)?;
-        req_num(c, "cycles", &what)?;
-        let delta = req(c, "delta", &what)?
-            .as_i64()
-            .ok_or_else(|| format!("{what}: `delta` is not an integer"))?;
-        let comp = req(c, "components", &what)?;
-        let mut stack = 0.0;
-        for key in ["transmitter_delay", "resolution_delay", "backpressure"] {
-            stack += req_num(comp, key, &what)?;
-        }
-        let recorded = req_num(c, "stack_sum", &what)?;
-        if (stack - recorded).abs() > 1e-6 {
-            return Err(format!("{what}: components sum {stack} != stack_sum {recorded}"));
-        }
-        let err = (stack - delta as f64).abs() / (delta.unsigned_abs().max(1) as f64);
-        if err > tol {
-            return Err(format!(
-                "{what}: stack {stack:.1} misses measured delta {delta} by {:.1}% (> {:.1}%)",
-                err * 100.0,
-                tol * 100.0
+fn stalls_are_slowdowns(doc: &Json) -> Result<(), SchemaError> {
+    for (i, s) in items(doc, "stalls").iter().enumerate() {
+        let delta = num(s, "delta");
+        if delta <= 0.0 {
+            return Err(SchemaError::at(
+                format!("stalls[{i}].delta"),
+                format!("stall delta must be positive, got {delta}"),
             ));
         }
-        if req(c, "consistent", &what)?.as_bool() != Some(true) {
-            return Err(format!("{what}: consistency flag is not true"));
-        }
     }
     Ok(())
 }
 
-/// Validates an `spt-attrib-v1` document, returning its `kind` on
-/// success.
-///
-/// # Errors
-///
-/// Returns a message naming the first structural or semantic violation.
-pub fn validate_attrib_document(doc: &Json) -> Result<String, String> {
-    let schema = req_str(doc, "schema", "document")?;
-    if schema != ATTRIB_SCHEMA {
-        return Err(format!("unexpected schema `{schema}` (want {ATTRIB_SCHEMA})"));
+const CELL: Shape = Shape::Obj(&[
+    req("workload config", &Shape::NonEmptyStr),
+    req("cycles retired base_cycles delta raw_transmitter_delay raw_resolution_delay", &Shape::Int),
+    req("components", &Shape::Obj(&[req(COMPONENTS, &Shape::Num)])),
+    req("scale stack_sum", &Shape::Num),
+    req("consistent", &Shape::Bool),
+    req("occupancy", &Shape::Obj(&[req("rob_p50 rob_p99 xmit_delay_p99", &Shape::Int)])),
+]);
+
+const COMPONENTS: &str = "transmitter_delay resolution_delay backpressure";
+
+/// The `"fig7-accounting"` document: [`accounting_document`]'s output.
+pub static ACCOUNTING_DOC: Schema = Schema {
+    tag: ATTRIB_SCHEMA,
+    kind: Some("fig7-accounting"),
+    shape: Shape::Obj(&[
+        req("threat", &Shape::NonEmptyStr),
+        req("budget", &Shape::Int),
+        req("tolerance worst_relative_error", &Shape::Num),
+        req("consistent", &Shape::Bool),
+        req("configs workloads", &Shape::Arr(&Shape::NonEmptyStr)),
+        req("cells", &Shape::NonEmptyArr(&CELL)),
+    ]),
+    rules: Some(stacks_add_up),
+};
+
+fn stacks_add_up(doc: &Json) -> Result<(), SchemaError> {
+    let tol = num(doc, "tolerance");
+    for (i, c) in items(doc, "cells").iter().enumerate() {
+        let at = |key: &str| format!("cells[{i}].{key}");
+        let comp = c.get("components").unwrap_or(&Json::Null);
+        let stack: f64 = COMPONENTS.split_whitespace().map(|key| num(comp, key)).sum();
+        let recorded = num(c, "stack_sum");
+        if (stack - recorded).abs() > 1e-6 {
+            return Err(SchemaError::at(
+                at("stack_sum"),
+                format!("components sum {stack} != stack_sum {recorded}"),
+            ));
+        }
+        let delta = num(c, "delta");
+        let err = (stack - delta).abs() / delta.abs().max(1.0);
+        if err > tol {
+            return Err(SchemaError::at(
+                at("delta"),
+                format!(
+                    "stack {stack:.1} misses measured delta {delta} by {:.1}% (> {:.1}%)",
+                    err * 100.0,
+                    tol * 100.0
+                ),
+            ));
+        }
+        if c.get("consistent").and_then(Json::as_bool) != Some(true) {
+            return Err(SchemaError::at(at("consistent"), "consistency flag is not true"));
+        }
     }
-    let kind = req_str(doc, "kind", "document")?.to_string();
-    match kind.as_str() {
-        "tracediff" => validate_tracediff(doc)?,
-        "fig7-accounting" => validate_accounting(doc)?,
-        other => return Err(format!("unknown document kind `{other}`")),
-    }
-    Ok(kind)
+    Ok(())
 }
 
 /// Renders the human-readable top-N stall report for `tracediff`.
@@ -368,6 +366,7 @@ pub fn render_accounting(r: &AccountingReport) -> String {
 mod tests {
     use super::*;
     use crate::diff::diff_traces;
+    use spt_util::schema::validate;
     use spt_util::trace::{OwnedInstRecord, ParsedEvent, ParsedTrace, SptTraceEvent};
 
     fn rec(seq: u64, pc: u64, issue: u64, complete: u64, retire: u64) -> OwnedInstRecord {
@@ -396,12 +395,16 @@ mod tests {
         diff_traces(&a, &b)
     }
 
+    fn kind_of(doc: &Json) -> Result<&'static str, SchemaError> {
+        validate(doc, &[&TRACEDIFF_DOC, &ACCOUNTING_DOC]).map(|s| s.kind.unwrap_or_default())
+    }
+
     #[test]
     fn diff_document_validates_and_roundtrips() {
         let doc = diff_document(&sample_diff(), "a.trace", "b.trace", 50);
-        assert_eq!(validate_attrib_document(&doc).unwrap(), "tracediff");
+        assert_eq!(kind_of(&doc).unwrap(), "tracediff");
         let back = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(validate_attrib_document(&back).unwrap(), "tracediff");
+        assert_eq!(kind_of(&back).unwrap(), "tracediff");
         assert_eq!(back.get("stall_count").and_then(Json::as_u64), Some(1));
     }
 
@@ -412,14 +415,17 @@ mod tests {
         let mut text = doc.to_string();
         text = text.replace("\"delta\":5", "\"delta\":-5");
         doc = Json::parse(&text).unwrap();
-        let err = validate_attrib_document(&doc).unwrap_err();
-        assert!(err.contains("positive"), "unexpected error: {err}");
+        let err = kind_of(&doc).unwrap_err();
+        assert!(err.message.contains("positive"), "unexpected error: {err}");
+        assert_eq!(err.path, "stalls[0].delta");
     }
 
     #[test]
     fn wrong_schema_is_rejected() {
         let doc = Json::obj([("schema", Json::str("nope")), ("kind", Json::str("tracediff"))]);
-        assert!(validate_attrib_document(&doc).unwrap_err().contains("unexpected schema"));
+        let err = kind_of(&doc).unwrap_err();
+        assert!(err.message.contains("unknown schema"), "unexpected error: {err}");
+        assert_eq!(err.path, "schema");
     }
 
     #[test]

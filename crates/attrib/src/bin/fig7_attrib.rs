@@ -7,27 +7,26 @@
 //! cargo run -p spt-attrib --release --bin fig7_attrib -- \
 //!     [--model spectre|futuristic|both] [--budget N] [--jobs N] [--seed N]
 //!     [--quick] [--tolerance F] [--json FILE]
-//! fig7_attrib --validate results/fig7_attrib_spectre.json
+//! validate FILE
 //! ```
+//!
+//! With `--model both`, `--json attrib.json` writes `attrib_futuristic.json`
+//! and `attrib_spectre.json`.
 //!
 //! Exits non-zero if any cell's stacked components miss the measured
 //! cycle delta by more than `--tolerance` (default 5%).
 
-use spt_attrib::{
-    account_matrix, accounting_document, render_accounting, validate_attrib_document,
-    AccountingOptions, ATTRIB_SCHEMA,
-};
+use spt_attrib::{account_matrix, accounting_document, render_accounting, AccountingOptions};
 use spt_bench::runner::{bench_suite, exit_sweep_error};
 use spt_core::ThreatModel;
-use spt_util::Json;
+use spt_util::schema::write_document;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
         "usage: fig7_attrib [--model spectre|futuristic|both] [--budget N] [--jobs N]\n\
-         \x20      [--seed N] [--quick] [--verbose] [--tolerance F] [--json FILE]\n\
-         \x20      fig7_attrib --validate <{ATTRIB_SCHEMA} json>"
+         \x20      [--seed N] [--quick] [--verbose] [--tolerance F] [--json FILE]"
     );
     exit(2);
 }
@@ -47,7 +46,6 @@ fn main() {
     let mut models = vec![ThreatModel::Futuristic, ThreatModel::Spectre];
     let mut seed = 0u64;
     let mut json_out: Option<PathBuf> = None;
-    let mut validate: Option<PathBuf> = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -65,7 +63,6 @@ fn main() {
             "--verbose" => opts.verbose = true,
             "--tolerance" => opts.tolerance = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--json" => json_out = Some(PathBuf::from(value(&mut i))),
-            "--validate" => validate = Some(PathBuf::from(value(&mut i))),
             "--model" => {
                 models = match value(&mut i).as_str() {
                     "spectre" => vec![ThreatModel::Spectre],
@@ -77,25 +74,6 @@ fn main() {
             _ => usage(),
         }
         i += 1;
-    }
-
-    if let Some(path) = validate {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", path.display());
-            exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{}: not valid JSON: {e}", path.display());
-            exit(1);
-        });
-        match validate_attrib_document(&doc) {
-            Ok(kind) => println!("{}: valid {ATTRIB_SCHEMA} ({kind})", path.display()),
-            Err(e) => {
-                eprintln!("{}: INVALID: {e}", path.display());
-                exit(1);
-            }
-        }
-        return;
     }
 
     // Apply before any workload is constructed: the suites sample their
@@ -124,10 +102,7 @@ fn main() {
         if let Some(path) = &json_out {
             let doc = accounting_document(&report);
             let out = model_suffixed(path, model, multi);
-            if let Some(dir) = out.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            match std::fs::write(&out, doc.to_string_pretty()) {
+            match write_document(&doc, &out) {
                 Ok(()) => eprintln!("wrote {}", out.display()),
                 Err(e) => {
                     eprintln!("cannot write {}: {e}", out.display());

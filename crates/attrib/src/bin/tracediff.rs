@@ -6,7 +6,7 @@
 //! run_spt --executable mcf_like --enable-spt --untaint-method bwd \
 //!         --enable-shadow-l1 --trace spt.trace
 //! tracediff base.trace spt.trace --top 20 --json diff.json
-//! tracediff --validate diff.json
+//! validate diff.json
 //! ```
 //!
 //! The baseline trace comes first. Traces must be produced by
@@ -18,15 +18,15 @@
 //! below `--min-align` (default 0.99, the acceptance floor for
 //! same-workload traces).
 
-use spt_attrib::{diff_traces, render_diff_report, validate_attrib_document, ATTRIB_SCHEMA};
-use spt_util::{parse_o3_trace, Json};
+use spt_attrib::{diff_traces, render_diff_report};
+use spt_util::parse_o3_trace;
+use spt_util::schema::write_document;
 use std::path::PathBuf;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tracediff <base-trace> <cmp-trace> [--top N] [--json FILE] [--min-align RATE]\n\
-         \x20      tracediff --validate <{ATTRIB_SCHEMA} json>"
+        "usage: tracediff <base-trace> <cmp-trace> [--top N] [--json FILE] [--min-align RATE]"
     );
     exit(2);
 }
@@ -36,7 +36,6 @@ fn main() {
     let mut traces: Vec<PathBuf> = Vec::new();
     let mut top = 10usize;
     let mut json_out: Option<PathBuf> = None;
-    let mut validate: Option<PathBuf> = None;
     let mut min_align = 0.99f64;
 
     let mut i = 0;
@@ -48,34 +47,11 @@ fn main() {
         match args[i].as_str() {
             "--top" => top = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--json" => json_out = Some(PathBuf::from(value(&mut i))),
-            "--validate" => validate = Some(PathBuf::from(value(&mut i))),
             "--min-align" => min_align = value(&mut i).parse().unwrap_or_else(|_| usage()),
             flag if flag.starts_with("--") => usage(),
             _ => traces.push(PathBuf::from(&args[i])),
         }
         i += 1;
-    }
-
-    if let Some(path) = validate {
-        if !traces.is_empty() {
-            usage();
-        }
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", path.display());
-            exit(1);
-        });
-        let doc = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{}: not valid JSON: {e}", path.display());
-            exit(1);
-        });
-        match validate_attrib_document(&doc) {
-            Ok(kind) => println!("{}: valid {ATTRIB_SCHEMA} ({kind})", path.display()),
-            Err(e) => {
-                eprintln!("{}: INVALID: {e}", path.display());
-                exit(1);
-            }
-        }
-        return;
     }
 
     if traces.len() != 2 {
@@ -104,10 +80,7 @@ fn main() {
             &traces[1].display().to_string(),
             top.max(100),
         );
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, doc.to_string_pretty()) {
+        if let Err(e) = write_document(&doc, path) {
             eprintln!("cannot write {}: {e}", path.display());
             exit(1);
         }

@@ -18,8 +18,9 @@
 //!   residual) with a per-cell stack-sum consistency check. Driven by the
 //!   `fig7_attrib` binary.
 //!
-//! Both emit versioned `spt-attrib-v1` JSON documents ([`attribdoc`])
-//! that pass their own `--validate`.
+//! Both emit versioned `spt-attrib-v1` JSON documents ([`attribdoc`]).
+//! The `validate FILE...` binary checks any document the workspace writes
+//! against its declared schema ([`DOCUMENTS`]).
 //!
 //! See DESIGN.md §6e for the alignment algorithm, the stall taxonomy, and
 //! the overlap normalization behind the stacked breakdown.
@@ -32,7 +33,17 @@ pub mod diff;
 pub use accounting::{account_matrix, AccountedCell, AccountingOptions, AccountingReport};
 pub use align::{align_retired, Alignment};
 pub use attribdoc::{
-    accounting_document, diff_document, render_accounting, render_diff_report,
-    validate_attrib_document, ATTRIB_SCHEMA,
+    accounting_document, diff_document, render_accounting, render_diff_report, ACCOUNTING_DOC,
+    ATTRIB_SCHEMA, TRACEDIFF_DOC,
 };
 pub use diff::{diff_traces, StageDeltas, Stall, StallCause, TraceDiff};
+
+use spt_bench::simbench::SIMBENCH_DOC;
+use spt_bench::statsdoc::{ROWS_DOC, RUN_DOC};
+use spt_util::schema::Schema;
+
+/// The schema of every JSON document the workspace writes: the
+/// `spt-stats-v1` run and rows documents, `spt-simbench-v1`, and the
+/// `spt-attrib-v1` tracediff and fig7-accounting documents.
+pub static DOCUMENTS: [&Schema; 5] =
+    [&RUN_DOC, &ROWS_DOC, &SIMBENCH_DOC, &TRACEDIFF_DOC, &ACCOUNTING_DOC];

@@ -1,11 +1,10 @@
 //! The stacked cycle-accounting contract: every cell's components sum to
 //! the measured cycle delta within tolerance, and the emitted
-//! `spt-attrib-v1` document passes its own validator.
+//! `spt-attrib-v1` document passes the schema checker.
 
-use spt_attrib::{
-    account_matrix, accounting_document, validate_attrib_document, AccountingOptions,
-};
+use spt_attrib::{account_matrix, accounting_document, AccountingOptions, DOCUMENTS};
 use spt_core::ThreatModel;
+use spt_util::schema::validate;
 use spt_util::Json;
 use spt_workloads::{full_suite, Scale};
 
@@ -38,9 +37,9 @@ fn stack_sums_match_measured_deltas() {
     }
 
     let doc = accounting_document(&report);
-    assert_eq!(validate_attrib_document(&doc).unwrap(), "fig7-accounting");
-    // And after a text round-trip, as `--validate` consumes it.
+    assert_eq!(validate(&doc, &DOCUMENTS).unwrap().kind, Some("fig7-accounting"));
+    // And after a text round-trip, as `validate FILE` consumes it.
     let back = Json::parse(&doc.to_string_pretty()).expect("round-trips");
-    assert_eq!(validate_attrib_document(&back).unwrap(), "fig7-accounting");
+    assert_eq!(validate(&back, &DOCUMENTS).unwrap().kind, Some("fig7-accounting"));
     assert_eq!(back.get("consistent").and_then(Json::as_bool), Some(true));
 }

@@ -3,7 +3,7 @@
 //! diff them with the real `tracediff` binary, and check the acceptance
 //! invariants — ≥99% alignment, at least one transmitter-delay-attributed
 //! stall for SPT, a zero-delta self-diff, and an `spt-attrib-v1` JSON
-//! document that passes its own `--validate`.
+//! document that the `validate` binary accepts.
 
 use spt_attrib::{diff_traces, StallCause};
 use spt_bench::runner::{prepare_machine, run_prepared};
@@ -82,15 +82,17 @@ fn tracediff_attributes_spt_stalls_end_to_end() {
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some("spt-attrib-v1"));
     assert!(doc.get("stall_count").and_then(Json::as_u64).unwrap() >= 1);
 
-    let validated = Command::new(env!("CARGO_BIN_EXE_tracediff"))
-        .args(["--validate", json_path.to_str().unwrap()])
+    let validated = Command::new(env!("CARGO_BIN_EXE_validate"))
+        .arg(&json_path)
         .output()
-        .expect("tracediff --validate runs");
+        .expect("validate runs");
     assert!(
         validated.status.success(),
-        "--validate rejected the document: {}",
+        "validate rejected the document: {}",
         String::from_utf8_lossy(&validated.stderr)
     );
+    let verdict = String::from_utf8_lossy(&validated.stdout);
+    assert!(verdict.contains("valid spt-attrib-v1 (tracediff)"), "{verdict}");
 
     for p in [&base_path, &spt_path, &json_path] {
         let _ = std::fs::remove_file(p);

@@ -14,7 +14,8 @@
 
 use spt_bench::reproduce::{self, CellStore};
 use spt_bench::runner::{bench_suite, exit_sweep_error, SweepOptions, DEFAULT_BUDGET};
-use spt_bench::statsdoc::{rows_document, write_json};
+use spt_bench::statsdoc::rows_document;
+use spt_util::schema::write_document;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -64,7 +65,7 @@ fn main() {
     }
     println!("refreshed EXPERIMENTS.md");
     if let Some(path) = stats_json {
-        if let Err(e) = write_json(&rows_document(&store), &path) {
+        if let Err(e) = write_document(&rows_document(&store), &path) {
             eprintln!("reproduce: cannot write {}: {e}", path.display());
             exit(1);
         }

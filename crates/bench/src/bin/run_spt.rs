@@ -21,12 +21,16 @@
 //!
 //! Omitting `--enable-spt` gives the UnsafeBaseline, exactly as in the
 //! artifact ("to run InsecureBaseline, simply provide the --executable and
-//! nothing else"). `--stt` selects the STT comparison design.
+//! nothing else"). `--stt` selects the STT comparison design. Flags that
+//! contradict each other exit 2: both shadow flags, a shadow flag or
+//! `--untaint-method` without `--enable-spt`, and `--stt` with
+//! `--enable-spt` or `--untaint-method`.
 
 use spt_bench::runner::exit_sweep_error;
 use spt_bench::runner::{prepare_machine, run_prepared};
-use spt_bench::statsdoc::{run_document, write_json};
+use spt_bench::statsdoc::run_document;
 use spt_core::{Config, ShadowMode, ThreatModel, UntaintMethod};
+use spt_util::schema::write_document;
 use spt_util::O3PipeViewSink;
 use spt_workloads::{full_suite, Scale};
 use std::fs::File;
@@ -36,10 +40,15 @@ fn usage() -> ! {
     eprintln!(
         "usage: run_spt --executable <workload> [--enable-spt] [--stt]\n\
          \x20      [--threat-model spectre|futuristic] [--untaint-method none|fwd|bwd|ideal]\n\
-         \x20      [--enable-shadow-l1 | --enable-shadow-mem] [--budget N] [--jobs N]\n\
+         \x20      [--enable-shadow-l1 | --enable-shadow-mem] [--budget N]\n\
          \x20      [--seed N] [--trace <o3-trace-file>] [--stats-json <json-file>]\n\
          \x20      [--track-insts] [--list]"
     );
+    std::process::exit(2);
+}
+
+fn reject(message: &str) -> ! {
+    eprintln!("run_spt: {message}");
     std::process::exit(2);
 }
 
@@ -50,7 +59,7 @@ fn main() {
     let mut stt = false;
     let mut threat = ThreatModel::Futuristic;
     let mut untaint: Option<UntaintMethod> = None;
-    let mut shadow = ShadowMode::None;
+    let (mut shadow_l1, mut shadow_mem) = (false, false);
     let mut budget = 30_000u64;
     let mut seed = 0u64;
     let mut track_insts = false;
@@ -84,8 +93,8 @@ fn main() {
                     _ => usage(),
                 });
             }
-            "--enable-shadow-l1" => shadow = ShadowMode::L1,
-            "--enable-shadow-mem" => shadow = ShadowMode::Mem,
+            "--enable-shadow-l1" => shadow_l1 = true,
+            "--enable-shadow-mem" => shadow_mem = true,
             "--budget" => {
                 i += 1;
                 budget = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
@@ -94,12 +103,6 @@ fn main() {
                 i += 1;
                 seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
                 spt_workloads::set_input_seed(seed);
-            }
-            // A single run has nothing to fan out; accepted so scripts can
-            // pass a uniform flag set to every binary.
-            "--jobs" => {
-                i += 1;
-                let _: usize = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--trace" => {
                 i += 1;
@@ -122,12 +125,20 @@ fn main() {
         i += 1;
     }
 
-    if shadow == ShadowMode::Mem && matches!(untaint, Some(UntaintMethod::Ideal)) {
-        // SPT{Ideal,ShadowMem} — fine.
+    let shadow = match (shadow_l1, shadow_mem) {
+        (true, true) => reject("--enable-shadow-l1 and --enable-shadow-mem are mutually exclusive"),
+        (true, false) => ShadowMode::L1,
+        (false, true) => ShadowMode::Mem,
+        (false, false) => ShadowMode::None,
+    };
+    if stt && (enable_spt || untaint.is_some()) {
+        reject("--stt selects STT; it cannot be combined with --enable-spt or --untaint-method");
     }
     if !enable_spt && untaint.is_some() {
-        eprintln!("--untaint-method requires --enable-spt (as in the artifact)");
-        std::process::exit(2);
+        reject("--untaint-method requires --enable-spt (as in the artifact)");
+    }
+    if !enable_spt && shadow != ShadowMode::None {
+        reject("--enable-shadow-l1 and --enable-shadow-mem require --enable-spt");
     }
 
     let config = if stt {
@@ -172,7 +183,7 @@ fn main() {
     }
     if let Some(path) = &stats_json_path {
         let doc = run_document(&m, w.name, config.name(), budget);
-        if let Err(e) = write_json(&doc, path) {
+        if let Err(e) = write_document(&doc, path) {
             eprintln!("cannot write stats JSON {}: {e}", path.display());
             std::process::exit(1);
         }

@@ -2,23 +2,22 @@
 //!
 //! Times the fixed workload basket under the standard config set and
 //! writes a versioned `spt-simbench-v1` JSON document (see
-//! `spt_bench::simbench`). Three modes:
+//! `spt_bench::simbench`). Two modes:
 //!
 //! * measure (default): run the basket, print a table, write `--out`;
 //! * `--baseline FILE`: measure, then embed FILE as the "before" side and
-//!   per-config speedups into the emitted document;
-//! * `--validate FILE`: no simulation — parse FILE and check it against
-//!   the schema (CI's artifact gate).
+//!   per-config speedups into the emitted document.
+//!
+//! `validate FILE` (in `spt-attrib`) checks a written document.
 
-use spt_bench::simbench::{
-    document, measure, validate, with_baseline, SimbenchOptions, SIMBENCH_SCHEMA,
-};
+use spt_bench::simbench::{document, measure, with_baseline, SimbenchOptions};
+use spt_util::schema::{read_document, write_document};
 use spt_util::Json;
 use std::path::PathBuf;
 use std::process::exit;
 
 const USAGE: &str = "usage: simbench [--budget N] [--iters N] [--jobs N] [--seed N] \
-                     [--quick] [--verbose] [--out FILE] [--baseline FILE] [--validate FILE]";
+                     [--quick] [--verbose] [--out FILE] [--baseline FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,7 +26,6 @@ fn main() {
     let mut seed = 0u64;
     let mut out: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
-    let mut validate_only: Option<PathBuf> = None;
 
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> String {
@@ -53,7 +51,6 @@ fn main() {
             "--verbose" => opts.verbose = true,
             "--out" => out = Some(PathBuf::from(value(&mut i, "--out"))),
             "--baseline" => baseline = Some(PathBuf::from(value(&mut i, "--baseline"))),
-            "--validate" => validate_only = Some(PathBuf::from(value(&mut i, "--validate"))),
             other => {
                 eprintln!("simbench: unknown flag `{other}`");
                 eprintln!("{USAGE}");
@@ -61,20 +58,6 @@ fn main() {
             }
         }
         i += 1;
-    }
-
-    if let Some(path) = validate_only {
-        let doc = read_doc(&path);
-        match validate(&doc) {
-            Ok(()) => {
-                println!("{}: valid {SIMBENCH_SCHEMA}", path.display());
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: {e}", path.display());
-                exit(1);
-            }
-        }
     }
 
     spt_workloads::set_input_seed(seed);
@@ -104,7 +87,10 @@ fn main() {
 
     let mut doc = document(&m);
     if let Some(path) = baseline {
-        let before = read_doc(&path);
+        let before = read_document(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read {}: {e}", path.display());
+            exit(2);
+        });
         doc = with_baseline(doc, &before).unwrap_or_else(|e| {
             eprintln!("simbench: {e}");
             exit(1);
@@ -120,7 +106,7 @@ fn main() {
     }
 
     if let Some(path) = out {
-        match std::fs::write(&path, doc.to_string_pretty() + "\n") {
+        match write_document(&doc, &path) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("cannot write {}: {e}", path.display());
@@ -128,15 +114,4 @@ fn main() {
             }
         }
     }
-}
-
-fn read_doc(path: &std::path::Path) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", path.display());
-        exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {}: {e}", path.display());
-        exit(2);
-    })
 }

@@ -9,6 +9,8 @@
 //! The library half holds the shared runner with its bounded worker pool
 //! ([`runner`]), the plan / cell store / renderers behind `reproduce`
 //! ([`reproduce`]), and the `spt-stats-v1` JSON documents ([`statsdoc`]).
+//! Each document module declares its schema; `validate FILE...` in
+//! `spt-attrib` checks written documents against them.
 
 pub mod reproduce;
 pub mod runner;
@@ -20,4 +22,4 @@ pub use runner::{
     default_jobs, prepare_machine, run_indexed, run_prepared, run_workload, RunRow, SweepError,
     SweepOptions, DEFAULT_BUDGET,
 };
-pub use statsdoc::{rows_document, run_document, write_json, STATS_SCHEMA};
+pub use statsdoc::{rows_document, run_document, STATS_SCHEMA};

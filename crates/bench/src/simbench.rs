@@ -19,6 +19,7 @@
 use crate::runner::{prepare_machine, run_indexed, SweepError};
 use spt_core::{Config, ThreatModel};
 use spt_ooo::RunLimits;
+use spt_util::schema::{opt, req, validate, Schema, SchemaError, Shape};
 use spt_util::Json;
 use spt_workloads::{full_suite, Scale, Workload};
 use std::time::Instant;
@@ -229,6 +230,39 @@ pub fn measure(opts: SimbenchOptions) -> Result<Measurement, SweepError> {
     })
 }
 
+const CELL: Shape = Shape::Obj(&[
+    req("workload", &Shape::NonEmptyStr),
+    req("cycles retired best_secs sim_cycles_per_sec retired_per_sec", &Shape::Positive),
+]);
+
+const CONFIG: Shape = Shape::Obj(&[
+    req("config", &Shape::NonEmptyStr),
+    req("geomean_sim_cycles_per_sec geomean_retired_per_sec", &Shape::Positive),
+    req("workloads", &Shape::NonEmptyArr(&CELL)),
+]);
+
+const SPEEDUP: Shape = Shape::Obj(&[
+    req("config", &Shape::NonEmptyStr),
+    req("sim_cycles_per_sec_speedup", &Shape::Positive),
+]);
+
+/// The `spt-simbench-v1` document: [`document`]'s output, and after
+/// [`with_baseline`] the embedded baseline (the same shape) and the
+/// per-config speedups. Every throughput must be finite and positive.
+pub static SIMBENCH_DOC: Schema = Schema {
+    tag: SIMBENCH_SCHEMA,
+    kind: None,
+    shape: Shape::Obj(&[
+        req("budget iters jobs", &Shape::Int),
+        req("threat", &Shape::NonEmptyStr),
+        req("basket", &Shape::NonEmptyArr(&Shape::NonEmptyStr)),
+        req("configs", &Shape::NonEmptyArr(&CONFIG)),
+        opt("baseline", &SIMBENCH_DOC.shape),
+        opt("speedup", &Shape::Arr(&SPEEDUP)),
+    ]),
+    rules: None,
+};
+
 /// Renders a measurement as an `spt-simbench-v1` document.
 pub fn document(m: &Measurement) -> Json {
     Json::obj([
@@ -264,119 +298,48 @@ pub fn document(m: &Measurement) -> Json {
     ])
 }
 
-/// A schema violation found by [`validate`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SchemaError(pub String);
-
-impl std::fmt::Display for SchemaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spt-simbench-v1 schema violation: {}", self.0)
-    }
-}
-
-impl std::error::Error for SchemaError {}
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, SchemaError> {
-    obj.get(key).ok_or_else(|| SchemaError(format!("missing field `{key}`")))
-}
-
-fn number(obj: &Json, key: &str) -> Result<f64, SchemaError> {
-    match field(obj, key)? {
-        Json::U64(v) => Ok(*v as f64),
-        Json::I64(v) => Ok(*v as f64),
-        Json::F64(v) => Ok(*v),
-        _ => Err(SchemaError(format!("field `{key}` is not a number"))),
-    }
-}
-
-/// Validates a parsed document against the `spt-simbench-v1` schema: tag,
-/// config list shape, per-workload cell fields, and strictly positive
-/// throughput numbers. CI's `bench-smoke` job runs this (via
-/// `simbench --validate`) on the artifact it just produced.
-pub fn validate(doc: &Json) -> Result<(), SchemaError> {
-    match field(doc, "schema")? {
-        Json::Str(s) if s == SIMBENCH_SCHEMA => {}
-        other => return Err(SchemaError(format!("schema tag is {other}, want {SIMBENCH_SCHEMA}"))),
-    }
-    number(doc, "budget")?;
-    number(doc, "iters")?;
-    let configs = match field(doc, "configs")? {
-        Json::Arr(items) if !items.is_empty() => items,
-        _ => return Err(SchemaError("`configs` must be a non-empty array".into())),
-    };
-    for cfg in configs {
-        field(cfg, "config")?;
-        for key in ["geomean_sim_cycles_per_sec", "geomean_retired_per_sec"] {
-            let v = number(cfg, key)?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(SchemaError(format!("`{key}` must be finite and positive, got {v}")));
-            }
-        }
-        let cells = match field(cfg, "workloads")? {
-            Json::Arr(items) if !items.is_empty() => items,
-            _ => return Err(SchemaError("`workloads` must be a non-empty array".into())),
-        };
-        for cell in cells {
-            field(cell, "workload")?;
-            for key in ["cycles", "retired", "best_secs", "sim_cycles_per_sec", "retired_per_sec"] {
-                let v = number(cell, key)?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SchemaError(format!(
-                        "`{key}` must be finite and positive, got {v}"
-                    )));
-                }
-            }
-        }
-    }
-    if let Some(baseline) = doc.get("baseline") {
-        field(baseline, "configs")?;
-    }
-    Ok(())
-}
-
 /// Embeds a baseline (pre-optimization) document and the per-config
 /// speedups into a fresh measurement document, producing the committed
 /// before/after artifact.
 ///
 /// # Errors
 ///
-/// Fails if the baseline does not validate or measures different configs.
+/// Fails if either document does not validate or the baseline lacks a
+/// measured config.
 pub fn with_baseline(mut doc: Json, baseline: &Json) -> Result<Json, SchemaError> {
-    validate(&doc)?;
-    validate(baseline)?;
-    let speedups: Vec<Json> = {
-        let after = match field(&doc, "configs")? {
-            Json::Arr(items) => items,
-            _ => unreachable!("validated above"),
-        };
-        let before = match field(baseline, "configs")? {
-            Json::Arr(items) => items,
-            _ => unreachable!("validated above"),
-        };
-        after
-            .iter()
-            .map(|a| {
-                let name = match field(a, "config")? {
-                    Json::Str(s) => s.clone(),
-                    other => return Err(SchemaError(format!("config name is {other}"))),
-                };
-                let b = before
-                    .iter()
-                    .find(|b| matches!(b.get("config"), Some(Json::Str(s)) if *s == name))
-                    .ok_or_else(|| {
-                        SchemaError(format!("baseline has no `{name}` config to compare against"))
-                    })?;
-                let ratio = number(a, "geomean_sim_cycles_per_sec")?
-                    / number(b, "geomean_sim_cycles_per_sec")?;
-                Ok(Json::obj([
-                    ("config", Json::str(name)),
-                    ("sim_cycles_per_sec_speedup", Json::F64(ratio)),
-                ]))
-            })
-            .collect::<Result<_, SchemaError>>()?
-    };
+    fn configs(d: &Json) -> &[Json] {
+        d.get("configs").and_then(Json::as_arr).unwrap_or_default()
+    }
+    fn name(c: &Json) -> &str {
+        c.get("config").and_then(Json::as_str).unwrap_or_default()
+    }
+    fn rate(c: &Json) -> f64 {
+        c.get("geomean_sim_cycles_per_sec").and_then(Json::as_f64).unwrap_or(f64::NAN)
+    }
+
+    validate(&doc, &[&SIMBENCH_DOC])?;
+    validate(baseline, &[&SIMBENCH_DOC]).map_err(|e| {
+        let path =
+            if e.path.is_empty() { "baseline".into() } else { format!("baseline.{}", e.path) };
+        SchemaError::at(path, e.message)
+    })?;
+    let speedups = configs(&doc)
+        .iter()
+        .map(|a| {
+            let b = configs(baseline).iter().find(|b| name(b) == name(a)).ok_or_else(|| {
+                SchemaError::at(
+                    "baseline.configs",
+                    format!("no `{}` config to compare against", name(a)),
+                )
+            })?;
+            Ok(Json::obj([
+                ("config", Json::str(name(a))),
+                ("sim_cycles_per_sec_speedup", Json::F64(rate(a) / rate(b))),
+            ]))
+        })
+        .collect::<Result<Vec<_>, SchemaError>>()?;
     doc.push("baseline", baseline.clone());
-    doc.push("speedup", Json::arr(speedups));
+    doc.push("speedup", Json::Arr(speedups));
     Ok(doc)
 }
 
@@ -398,9 +361,9 @@ mod tests {
     fn document_round_trips_and_validates() {
         let m = tiny_measurement();
         let doc = document(&m);
-        validate(&doc).expect("fresh document validates");
+        validate(&doc, &[&SIMBENCH_DOC]).expect("fresh document validates");
         let reparsed = Json::parse(&doc.to_string()).expect("document parses");
-        validate(&reparsed).expect("reparsed document validates");
+        validate(&reparsed, &[&SIMBENCH_DOC]).expect("reparsed document validates");
         assert_eq!(m.configs.len(), 4);
         assert_eq!(m.configs[0].cells.len(), BASKET.len());
     }
@@ -410,7 +373,7 @@ mod tests {
         let m = tiny_measurement();
         let doc = document(&m);
         let merged = with_baseline(doc.clone(), &doc).expect("self-comparison works");
-        validate(&merged).expect("merged document validates");
+        validate(&merged, &[&SIMBENCH_DOC]).expect("merged document validates");
         let speedups = merged.get("speedup").expect("speedup array present");
         if let Json::Arr(items) = speedups {
             assert_eq!(items.len(), 4);
@@ -429,7 +392,15 @@ mod tests {
     #[test]
     fn validation_rejects_wrong_schema_tag() {
         let doc = Json::obj([("schema", Json::str("spt-stats-v1"))]);
-        assert!(validate(&doc).is_err());
+        assert_eq!(validate(&doc, &[&SIMBENCH_DOC]).unwrap_err().path, "schema");
+    }
+
+    #[test]
+    fn committed_document_validates() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simthroughput.json");
+        let doc = spt_util::schema::read_document(std::path::Path::new(path)).expect("readable");
+        validate(&doc, &[&SIMBENCH_DOC]).expect("BENCH_simthroughput.json validates");
+        assert!(doc.get("baseline").is_some() && doc.get("speedup").is_some());
     }
 
     #[test]

@@ -21,7 +21,17 @@
 //!   (bucket-upper-bound estimates, clamped to the observed max) next to
 //!   `mean`/`max`;
 //! * rows-document cells carry `broadcast_width`, which tells the
-//!   width-ablation cells of one configuration apart.
+//!   width-ablation cells of one configuration apart;
+//! * both documents carry `kind` (`"run"` or `"rows"`), which tells the
+//!   two shapes apart for the checker;
+//! * the run document carries `threat` (the threat model, which `config`
+//!   does not name) and `seed` (the workload input seed), so runs that
+//!   differ only in those no longer share one identity.
+//!
+//! [`RUN_DOC`] and [`ROWS_DOC`] declare both shapes for
+//! [`spt_util::schema::validate`]. They require every field the writers
+//! emit, so a document written before `kind`, `threat` and `seed` existed
+//! does not pass, and they allow unknown keys.
 //!
 //! A removal or meaning change of an existing field would require bumping
 //! to `spt-stats-v2`. The per-model matrix document of the former
@@ -31,10 +41,8 @@ use crate::reproduce::CellStore;
 use crate::runner::RunRow;
 use spt_mem::CacheStats;
 use spt_ooo::Machine;
+use spt_util::schema::{opt, req, Schema, Shape};
 use spt_util::Json;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// Schema identifier stamped into every document this module emits.
 pub const STATS_SCHEMA: &str = "spt-stats-v1";
@@ -50,9 +58,74 @@ fn cache_json(s: &CacheStats) -> Json {
     ])
 }
 
+const CACHE: Shape = Shape::Obj(&[
+    req("hits misses evictions writebacks mshr_rejections", &Shape::Int),
+    req("miss_rate", &Shape::Num),
+]);
+
+const BUCKETS: Shape = Shape::Arr(&Shape::Obj(&[req("lo hi count", &Shape::Int)]));
+
+const HISTOGRAM: Shape = Shape::Obj(&[
+    req("kind", &Shape::NonEmptyStr),
+    req("samples sum max p50 p90 p99", &Shape::Int),
+    req("mean", &Shape::Num),
+    req("buckets", &BUCKETS),
+]);
+
+const MACHINE: Shape = Shape::Obj(&[
+    req("cycles retired fetched squashes branch_mispredicts indirect_mispredicts", &Shape::Int),
+    req("retired_branches mem_violations stl_forwards", &Shape::Int),
+    req("transmitter_delay_cycles resolution_delay_cycles", &Shape::Int),
+    req("ipc mispredict_rate", &Shape::Num),
+    req("spt", &SPT),
+]);
+
+const SPT: Shape = Shape::Obj(&[
+    req("untaint_events", &Shape::Map(&Shape::Int)),
+    req("untaint_events_total untainting_cycles broadcasts_deferred", &Shape::Int),
+    req("untaints_per_cycle_hist", &Shape::Arr(&Shape::Int)),
+]);
+
+const PREDICTIONS: &str = "cond_predictions direct_predictions indirect_predictions \
+                           ras_predictions total_predictions";
+
+/// The run document: [`run_document`]'s output.
+pub static RUN_DOC: Schema = Schema {
+    tag: STATS_SCHEMA,
+    kind: Some("run"),
+    shape: Shape::Obj(&[
+        req("workload config threat", &Shape::NonEmptyStr),
+        req("seed budget", &Shape::Int),
+        req("machine", &MACHINE),
+        req("caches", &Shape::Obj(&[req("l1d l2 l3 l1i", &CACHE)])),
+        req("dtlb", &Shape::Obj(&[req("hits misses", &Shape::Int)])),
+        req("frontend", &Shape::Obj(&[req(PREDICTIONS, &Shape::Int)])),
+        req("observation_digest", &Shape::Hex16),
+        opt("telemetry", &Shape::Map(&HISTOGRAM)),
+    ]),
+    rules: None,
+};
+
+/// The rows document: [`rows_document`]'s output.
+pub static ROWS_DOC: Schema = Schema {
+    tag: STATS_SCHEMA,
+    kind: Some("rows"),
+    shape: Shape::Obj(&[req(
+        "cells",
+        &Shape::NonEmptyArr(&Shape::Obj(&[
+            req("workload config threat", &Shape::NonEmptyStr),
+            req("cycles retired broadcast_width untaint_events_total", &Shape::Int),
+            req("transmitter_delay_cycles resolution_delay_cycles", &Shape::Int),
+            req("ipc", &Shape::Num),
+        ])),
+    )]),
+    rules: None,
+};
+
 /// Builds the single-run stats document for a finished machine.
 ///
-/// `workload` and `config` identify the run; the digest is read from the
+/// `workload` and `config` identify the run, with the machine's threat
+/// model and the workload input seed; the digest is read from the
 /// machine, so call this *after* `Machine::run`.
 pub fn run_document(m: &Machine, workload: &str, config: &str, budget: u64) -> Json {
     let stats = m.stats();
@@ -60,8 +133,11 @@ pub fn run_document(m: &Machine, workload: &str, config: &str, budget: u64) -> J
     let (dtlb_hits, dtlb_misses) = m.dtlb_stats();
     let mut doc = Json::obj([
         ("schema", Json::str(STATS_SCHEMA)),
+        ("kind", Json::str("run")),
         ("workload", Json::str(workload)),
         ("config", Json::str(config)),
+        ("threat", Json::str(m.protection().threat.to_string())),
+        ("seed", Json::U64(spt_workloads::input_seed())),
         ("budget", Json::U64(budget)),
         ("machine", stats.to_json()),
         (
@@ -114,19 +190,11 @@ pub fn rows_document(store: &CellStore) -> Json {
         cell.push("broadcast_width", Json::U64(cfg.broadcast_width as u64));
         cell
     });
-    Json::obj([("schema", Json::str(STATS_SCHEMA)), ("cells", Json::arr(cells))])
-}
-
-/// Writes a document as pretty-printed JSON, creating parent directories.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or file.
-pub fn write_json(doc: &Json, path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, doc.to_string_pretty())
+    Json::obj([
+        ("schema", Json::str(STATS_SCHEMA)),
+        ("kind", Json::str("rows")),
+        ("cells", Json::arr(cells)),
+    ])
 }
 
 #[cfg(test)]
@@ -134,6 +202,7 @@ mod tests {
     use super::*;
     use crate::runner::{prepare_machine, run_prepared};
     use spt_core::{Config, ThreatModel};
+    use spt_util::schema::validate;
     use spt_workloads::Scale;
 
     #[test]
@@ -146,6 +215,9 @@ mod tests {
         let doc = run_document(&m, w.name, cfg.name(), 1_000);
         let back = Json::parse(&doc.to_string()).expect("round-trips");
         assert_eq!(back.get("schema").and_then(Json::as_str), Some(STATS_SCHEMA));
+        let schema = validate(&back, &[&ROWS_DOC, &RUN_DOC]).expect("run document validates");
+        assert_eq!(schema.kind, Some("run"));
+        assert_eq!(back.get("threat").and_then(Json::as_str), Some("spectre"));
         let digest = back.get("observation_digest").and_then(Json::as_str).unwrap();
         assert_eq!(digest.len(), 16, "digest is 16 hex chars: {digest}");
         assert_eq!(u64::from_str_radix(digest, 16).unwrap(), m.observation_digest());

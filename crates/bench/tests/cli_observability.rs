@@ -1,7 +1,11 @@
-//! End-to-end check of `run_spt --trace --stats-json`: the binary must
-//! produce a Konata-loadable O3PipeView trace and an `spt-stats-v1` JSON
-//! document that round-trips through the `spt-util` parser.
+//! End-to-end checks of the `run_spt` command line: `--trace --stats-json`
+//! must produce a Konata-loadable O3PipeView trace and an `spt-stats-v1`
+//! JSON document that round-trips through the `spt-util` parser, passes
+//! the schema checker and names its threat model and input seed; flags
+//! that contradict each other must be refused.
 
+use spt_bench::statsdoc::RUN_DOC;
+use spt_util::schema::{read_document, validate};
 use spt_util::{parse_o3_trace, Json};
 use std::process::Command;
 
@@ -22,6 +26,8 @@ fn run_spt_emits_valid_trace_and_stats_json() {
             "--enable-shadow-l1",
             "--threat-model",
             "futuristic",
+            "--seed",
+            "5",
             "--budget",
             "2000",
             "--trace",
@@ -54,6 +60,9 @@ fn run_spt_emits_valid_trace_and_stats_json() {
     let doc = Json::parse(&text).expect("stats JSON parses");
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some("spt-stats-v1"));
     assert_eq!(doc.get("workload").and_then(Json::as_str), Some("chacha20"));
+    validate(&doc, &[&RUN_DOC]).expect("stats document passes the schema checker");
+    assert_eq!(doc.get("threat").and_then(Json::as_str), Some("futuristic"));
+    assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(5));
     let cycles = doc
         .get("machine")
         .and_then(|m| m.get("cycles"))
@@ -83,5 +92,52 @@ fn run_spt_emits_valid_trace_and_stats_json() {
     // Round-trip: re-serializing the parsed tree reproduces the document.
     assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc, "document round-trips");
 
+    // The same configuration under the other threat model and the default
+    // seed is told apart by the identity fields.
+    let spectre_path = dir.join("spectre.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_run_spt"))
+        .args(["--executable", "chacha20", "--enable-spt", "--untaint-method", "bwd"])
+        .args(["--enable-shadow-l1", "--threat-model", "spectre", "--budget", "200"])
+        .args(["--stats-json", spectre_path.to_str().unwrap()])
+        .output()
+        .expect("run_spt spawns")
+        .status;
+    assert!(status.success());
+    let spectre = read_document(&spectre_path).expect("stats JSON written");
+    validate(&spectre, &[&RUN_DOC]).expect("spectre document passes the schema checker");
+    assert_eq!(spectre.get("config"), doc.get("config"));
+    assert_eq!(spectre.get("threat").and_then(Json::as_str), Some("spectre"));
+    assert_eq!(spectre.get("seed").and_then(Json::as_u64), Some(0));
+
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_spt_refuses_contradictory_flags() {
+    let run = |flags: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_run_spt"))
+            .args(["--executable", "chacha20", "--budget", "100"])
+            .args(flags)
+            .output()
+            .expect("run_spt spawns")
+    };
+    let refused: [(&[&str], &str); 7] = [
+        (&["--enable-spt", "--enable-shadow-l1", "--enable-shadow-mem"], "mutually exclusive"),
+        (&["--enable-shadow-l1"], "require --enable-spt"),
+        (&["--enable-shadow-mem"], "require --enable-spt"),
+        (&["--stt", "--enable-spt"], "--stt"),
+        (&["--stt", "--untaint-method", "fwd"], "--stt"),
+        (&["--untaint-method", "bwd"], "requires --enable-spt"),
+        (&["--jobs", "2"], "usage"),
+    ];
+    for (flags, message) in refused {
+        let out = run(flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?} must exit 2:\n{stderr}");
+        assert!(stderr.contains(message), "{flags:?} must say `{message}`:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not simulate");
+    }
+    for flags in [&["--stt"][..], &["--enable-spt", "--enable-shadow-mem"]] {
+        assert!(run(flags).status.success(), "{flags:?} is a valid combination");
+    }
 }

@@ -6,7 +6,8 @@
 
 use spt_bench::reproduce::{self, CellStore};
 use spt_bench::runner::{bench_suite, SweepOptions};
-use spt_bench::statsdoc::rows_document;
+use spt_bench::statsdoc::{rows_document, ROWS_DOC};
+use spt_util::schema::validate;
 use spt_util::Json;
 use std::collections::HashSet;
 use std::fs;
@@ -34,6 +35,7 @@ fn one_plan_renders_byte_identical_artifacts_at_any_job_count() {
             .expect("every cell runs to completion");
         assert_eq!(store.simulated(), DISTINCT_CELLS, "the store ran each cell once");
         let doc = Json::parse(&rows_document(&store).to_string()).expect("stats JSON parses");
+        validate(&doc, &[&ROWS_DOC]).expect("rows document passes the schema checker");
         assert_eq!(
             doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
             Some(DISTINCT_CELLS)

@@ -15,8 +15,6 @@
 //!   propagation of §7.3 (plus the idealized single-cycle variant);
 //! * [`shadow`] — the byte-granular shadow L1 (§6.8, §7.5) and the
 //!   idealized whole-memory shadow;
-//! * [`stl`] — the `STLPublic` store-to-load forwarding condition (§6.7,
-//!   §7.4);
 //! * [`stt`] — the STT (MICRO'19) s-taint tracker used as the
 //!   narrower-scope comparison scheme;
 //! * [`Config`] — the eight evaluated configurations of paper Table 2 and
@@ -62,7 +60,6 @@ pub mod engine;
 pub mod gates;
 pub mod shadow;
 pub mod stats;
-pub mod stl;
 pub mod stt;
 pub mod taint;
 
@@ -70,6 +67,5 @@ pub use config::{Config, Policy, ProtectionKind, ShadowMode, ThreatModel, Untain
 pub use engine::{PhysReg, RenameInfo, Seq, StepResult, TaintEngine};
 pub use shadow::ShadowTaint;
 pub use stats::{SptStats, UntaintCounts, UntaintKind};
-pub use stl::StlCondition;
 pub use stt::SttTracker;
 pub use taint::TaintMask;

@@ -40,7 +40,7 @@ use crate::sched::{RetiredLoadTable, Scheduler};
 use crate::snapshot::SnapshotRing;
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
 use crate::validate::SecurityValidator;
-use spt_core::{Config, Seq, ShadowTaint, StlCondition, TaintMask, UntaintKind};
+use spt_core::{Config, Seq, ShadowTaint, TaintMask, UntaintKind};
 use spt_frontend::Frontend;
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
@@ -928,7 +928,7 @@ impl Machine {
             let (s_seq, already_public) = {
                 let l = &self.rob[i];
                 debug_assert!(l.is_load());
-                (l.mem.fwd_from.expect("tracked"), l.mem.stl.is_some_and(|c| c.is_public()))
+                (l.mem.fwd_from.expect("tracked"), l.mem.stl_public)
             };
             let public = already_public || {
                 // ② all of the load's address operands are public,
@@ -940,13 +940,12 @@ impl Machine {
                     self.sched.stores.range(s_seq..l_seq).all(|s| engine.leak_operands_clear(s));
                 load_addr_public && stores_public
             };
-            let stl = Some(if public { StlCondition::public() } else { StlCondition::pending(1) });
-            if self.rob[i].mem.stl != stl {
-                self.rob[i].mem.stl = stl;
-                self.progress = true;
-            }
             if !public {
                 continue;
+            }
+            if !already_public {
+                self.rob[i].mem.stl_public = true;
+                self.progress = true;
             }
             // Rule ①: forward untaint of the load output from the store's
             // data operand. If the store already retired we can no longer

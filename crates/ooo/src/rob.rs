@@ -1,6 +1,6 @@
 //! Reorder buffer entry types.
 
-use spt_core::{PhysReg, Seq, StlCondition};
+use spt_core::{PhysReg, Seq};
 use spt_isa::{Inst, Reg};
 
 /// Id of a frontend snapshot in the machine's snapshot ring: the
@@ -31,8 +31,12 @@ pub struct MemState {
     pub value: u64,
     /// Loads: the store that forwarded the data, if any.
     pub fwd_from: Option<Seq>,
-    /// Loads: the `STLPublic` condition for the forwarding pair (§6.7).
-    pub stl: Option<StlCondition>,
+    /// Loads: `STLPublic(S, L)` (§6.7) holds: store `S` forwards to this
+    /// load `L`, and the addresses of `L` and of every store from `S` up
+    /// to `L` are untainted. Only then may untaint cross the pair without
+    /// revealing a secret address alias (Figure 5). Once true it stays
+    /// true; every untaint pass recomputes it until then.
+    pub stl_public: bool,
     /// Stores: the oldest younger load that executed with stale data; the
     /// squash is deferred until the implicit branch is public (§6.7).
     pub pending_violation: Option<Seq>,

@@ -6,7 +6,9 @@
 //! sequence-number indices, and the observability substrate — a hand-rolled [`Json`] tree
 //! (the workspace is offline, so no serde), telemetry [`Histogram`]s, and
 //! the [`TraceSink`] pipeline-trace plumbing with its gem5
-//! O3PipeView-compatible emitter.
+//! O3PipeView-compatible emitter, and the declared document shapes with
+//! the one checker, reader and writer every JSON document goes through
+//! ([`schema`]).
 //!
 //! This crate sits at the bottom of the dependency DAG (next to `spt-isa`)
 //! precisely so that both the measurement side (`spt-bench`) and the
@@ -17,6 +19,7 @@ pub mod digest;
 pub mod hist;
 pub mod json;
 pub mod pool;
+pub mod schema;
 pub mod seqset;
 pub mod trace;
 
