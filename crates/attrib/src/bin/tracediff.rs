@@ -16,7 +16,7 @@
 //!
 //! Exits non-zero when a trace fails to parse or the alignment rate drops
 //! below `--min-align` (default 0.99, the acceptance floor for
-//! same-workload traces).
+//! same-workload traces); a rejected pair writes no `--json` document.
 
 use spt_attrib::{diff_traces, render_diff_report};
 use spt_util::parse_o3_trace;
@@ -73,6 +73,15 @@ fn main() {
     println!("tracediff {} (baseline) vs {}", traces[0].display(), traces[1].display());
     print!("{}", render_diff_report(&diff, top));
 
+    if diff.alignment.rate() < min_align {
+        eprintln!(
+            "alignment rate {:.4} below --min-align {min_align} — are these traces of the \
+             same workload and seed?",
+            diff.alignment.rate()
+        );
+        exit(1);
+    }
+
     if let Some(path) = &json_out {
         let doc = spt_attrib::diff_document(
             &diff,
@@ -85,14 +94,5 @@ fn main() {
             exit(1);
         }
         eprintln!("wrote {}", path.display());
-    }
-
-    if diff.alignment.rate() < min_align {
-        eprintln!(
-            "alignment rate {:.4} below --min-align {min_align} — are these traces of the \
-             same workload and seed?",
-            diff.alignment.rate()
-        );
-        exit(1);
     }
 }

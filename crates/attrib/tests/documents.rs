@@ -236,6 +236,12 @@ fn every_rule_beyond_the_shape_can_fail() {
     fails_at(&replaced(run, "workload", Json::str("")), "workload", "must not be empty");
     let rows = doc("spt-stats-v1 (rows)");
     fails_at(&replaced(rows, "cells", Json::arr([])), "cells", "must not be empty");
+    assert_eq!(rows.get("budget").and_then(Json::as_u64), Some(BUDGET));
+    assert_eq!(rows.get("seed").and_then(Json::as_u64), Some(0));
+    for key in ["seed", "budget"] {
+        fails_at(&deleted(rows, key), key, "missing required key");
+        fails_at(&replaced(rows, key, Json::str("0")), key, "expected");
+    }
 
     let sim = doc("spt-simbench-v1");
     for (path, value) in [

@@ -3,7 +3,8 @@
 //! diff them with the real `tracediff` binary, and check the acceptance
 //! invariants — ≥99% alignment, at least one transmitter-delay-attributed
 //! stall for SPT, a zero-delta self-diff, and an `spt-attrib-v1` JSON
-//! document that the `validate` binary accepts.
+//! document that the `validate` binary accepts. Traces of two different
+//! input seeds fall below the alignment floor and write no document.
 
 use spt_attrib::{diff_traces, StallCause};
 use spt_bench::runner::{prepare_machine, run_prepared};
@@ -12,13 +13,25 @@ use spt_util::{parse_o3_trace, Json, O3PipeViewSink};
 use spt_workloads::{full_suite, Scale, Workload};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Mutex;
 
 const BUDGET: u64 = 3_000;
 
 fn workload() -> Workload {
-    // mcf: the paper's pointer-chasing proxy; its load-to-load chains keep
-    // transmitters tainted long enough that SPT reliably delays them.
-    full_suite(Scale::Bench).into_iter().find(|w| w.name == "mcf").expect("mcf in suite")
+    workload_seeded(0)
+}
+
+/// mcf built with input seed `seed`: the paper's pointer-chasing proxy,
+/// whose load-to-load chains keep transmitters tainted long enough that
+/// SPT reliably delays them. The seed is process-global, so every
+/// workload is built under one lock.
+fn workload_seeded(seed: u64) -> Workload {
+    static SEED_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = SEED_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    spt_workloads::set_input_seed(seed);
+    let suite = full_suite(Scale::Bench);
+    spt_workloads::set_input_seed(0);
+    suite.into_iter().find(|w| w.name == "mcf").expect("mcf in suite")
 }
 
 fn trace_to_file(w: &Workload, cfg: Config, path: &PathBuf) {
@@ -124,4 +137,27 @@ fn self_diff_reports_zero_deltas() {
     assert!(stdout.contains("no slowed instructions"), "self-diff report:\n{stdout}");
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn misaligned_traces_write_no_document() {
+    let cfg = Config::unsafe_baseline(ThreatModel::Futuristic);
+    let paths = [temp("seed0.trace"), temp("seed1.trace")];
+    for (seed, path) in paths.iter().enumerate() {
+        trace_to_file(&workload_seeded(seed as u64), cfg, path);
+    }
+    let json_path = temp("misaligned.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_tracediff"))
+        .args([paths[0].to_str().unwrap(), paths[1].to_str().unwrap()])
+        .args(["--json", json_path.to_str().unwrap()])
+        .output()
+        .expect("tracediff runs");
+    assert_eq!(out.status.code(), Some(1), "traces of different seeds must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("below --min-align"), "{stderr}");
+    assert!(!json_path.exists(), "a rejected diff wrote {}", json_path.display());
+
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
 }

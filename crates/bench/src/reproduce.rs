@@ -64,8 +64,8 @@ impl Plan {
 pub struct CellStore {
     plan: Plan,
     rows: Vec<RunRow>,
-    budget: u64,
-    seed: u64,
+    pub(crate) budget: u64,
+    pub(crate) seed: u64,
     simulated: usize,
 }
 

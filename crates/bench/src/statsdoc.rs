@@ -6,8 +6,9 @@
 //!   cache / TLB / frontend counter, the optional telemetry histograms, and
 //!   the attacker-observation digest (hex, so the full 64 bits survive
 //!   consumers that parse numbers as doubles);
-//! * [`rows_document`] — one `reproduce` pass: identity, cycles, retired
-//!   count and headline counters of every simulated cell.
+//! * [`rows_document`] — one `reproduce` pass: its workload input seed and
+//!   budget, then identity, cycles, retired count and headline counters of
+//!   every simulated cell.
 //!
 //! Serialization is `spt_util::Json` (hand-rolled; the workspace is
 //! offline), so documents round-trip exactly through `Json::parse`.
@@ -26,12 +27,15 @@
 //!   two shapes apart for the checker;
 //! * the run document carries `threat` (the threat model, which `config`
 //!   does not name) and `seed` (the workload input seed), so runs that
-//!   differ only in those no longer share one identity.
+//!   differ only in those no longer share one identity;
+//! * the rows document carries `seed` and `budget`, which change every
+//!   cell, so two passes that differ only in those no longer share one
+//!   identity.
 //!
 //! [`RUN_DOC`] and [`ROWS_DOC`] declare both shapes for
 //! [`spt_util::schema::validate`]. They require every field the writers
-//! emit, so a document written before `kind`, `threat` and `seed` existed
-//! does not pass, and they allow unknown keys.
+//! emit, so a document written before `kind`, `threat`, `seed` and
+//! `budget` existed does not pass, and they allow unknown keys.
 //!
 //! A removal or meaning change of an existing field would require bumping
 //! to `spt-stats-v2`. The per-model matrix document of the former
@@ -110,15 +114,18 @@ pub static RUN_DOC: Schema = Schema {
 pub static ROWS_DOC: Schema = Schema {
     tag: STATS_SCHEMA,
     kind: Some("rows"),
-    shape: Shape::Obj(&[req(
-        "cells",
-        &Shape::NonEmptyArr(&Shape::Obj(&[
-            req("workload config threat", &Shape::NonEmptyStr),
-            req("cycles retired broadcast_width untaint_events_total", &Shape::Int),
-            req("transmitter_delay_cycles resolution_delay_cycles", &Shape::Int),
-            req("ipc", &Shape::Num),
-        ])),
-    )]),
+    shape: Shape::Obj(&[
+        req("seed budget", &Shape::Int),
+        req(
+            "cells",
+            &Shape::NonEmptyArr(&Shape::Obj(&[
+                req("workload config threat", &Shape::NonEmptyStr),
+                req("cycles retired broadcast_width untaint_events_total", &Shape::Int),
+                req("transmitter_delay_cycles resolution_delay_cycles", &Shape::Int),
+                req("ipc", &Shape::Num),
+            ])),
+        ),
+    ]),
     rules: None,
 };
 
@@ -183,7 +190,7 @@ fn row_json(cell: &RunRow) -> Json {
 }
 
 /// Builds the sweep stats document for every cell of a store, in plan
-/// order.
+/// order, under the store's workload input seed and budget.
 pub fn rows_document(store: &CellStore) -> Json {
     let cells = store.plan().cells().iter().zip(store.rows()).map(|((_, cfg), row)| {
         let mut cell = row_json(row);
@@ -193,6 +200,8 @@ pub fn rows_document(store: &CellStore) -> Json {
     Json::obj([
         ("schema", Json::str(STATS_SCHEMA)),
         ("kind", Json::str("rows")),
+        ("seed", Json::U64(store.seed)),
+        ("budget", Json::U64(store.budget)),
         ("cells", Json::arr(cells)),
     ])
 }

@@ -127,11 +127,6 @@ pub struct Config {
     /// Maximum untainted registers broadcast per cycle (§7.3; Table 1
     /// value: 3). Ignored under [`UntaintMethod::Ideal`].
     pub broadcast_width: usize,
-    /// Whether control-flow instructions declassify their predicate/target
-    /// operands at the VP (§6.3/§6.6: "the operands of transmitters/
-    /// branches are untainted when the instruction becomes non-
-    /// speculative").
-    pub branches_declassify: bool,
     /// Protection policy for unsafe transmitters.
     pub policy: Policy,
     /// Whether variable-time instructions (§2.1's third transmitter class)
@@ -152,7 +147,6 @@ impl Config {
             untaint,
             shadow,
             broadcast_width: Self::DEFAULT_BROADCAST_WIDTH,
-            branches_declassify: true,
             policy: Policy::Delay,
             variable_time_transmitters: false,
         }
@@ -166,7 +160,6 @@ impl Config {
             untaint: UntaintMethod::None,
             shadow: ShadowMode::None,
             broadcast_width: Self::DEFAULT_BROADCAST_WIDTH,
-            branches_declassify: false,
             policy: Policy::Delay,
             variable_time_transmitters: false,
         }
@@ -210,7 +203,6 @@ impl Config {
             untaint: UntaintMethod::None,
             shadow: ShadowMode::None,
             broadcast_width: Self::DEFAULT_BROADCAST_WIDTH,
-            branches_declassify: false,
             policy: Policy::Delay,
             variable_time_transmitters: false,
         }

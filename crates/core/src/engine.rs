@@ -439,10 +439,9 @@ impl TaintEngine {
 
     /// Declassifies the leak-role operands of `seq` — called when a
     /// transmitter or control-flow instruction reaches the visibility point
-    /// (§6.6). Branch operands are only declassified when the configuration
-    /// enables it.
+    /// (§6.3/§6.6: "the operands of transmitters/branches are untainted
+    /// when the instruction becomes non-speculative").
     pub fn declassify_vp(&mut self, seq: Seq) {
-        let branches = self.cfg.branches_declassify;
         // SecureBaseline performs no untaint propagation whatsoever; the
         // transmitter itself executes because it reached the VP.
         if !self.cfg.untaint.forward() {
@@ -450,9 +449,6 @@ impl TaintEngine {
         }
         let Some(slot) = self.slots.get_mut(seq) else { return };
         let is_cf = slot.class == InstClass::ControlFlow;
-        if is_cf && !branches {
-            return;
-        }
         let kind =
             if is_cf { UntaintKind::DeclassifyBranch } else { UntaintKind::DeclassifyTransmit };
         let mut changed = false;

@@ -29,99 +29,25 @@
 //!
 //! Transmitter issue, branch resolution and violation squashes all ask the
 //! same gate, `Protection::leak_allowed` in the crate-private `protection`
-//! module: leak operands untainted, or the entry at the VP.
+//! module: leak operands untainted, or the entry at the VP. That module
+//! also owns all taint state; the stages reach it only through its
+//! lifecycle hooks.
 
 use crate::config::CoreConfig;
 use crate::probe::{Probe, Telemetry};
 use crate::protection::Protection;
 use crate::rename::RegisterFile;
-use crate::rob::{ExecState, RobEntry, SnapId};
-use crate::sched::{RetiredLoadTable, Scheduler};
+use crate::rob::{ExecState, RobEntry, RobIndex, SnapId};
+use crate::sched::Scheduler;
 use crate::snapshot::SnapshotRing;
 use crate::stats::{MachineStats, RunOutcome, SimError, StopReason};
-use crate::validate::SecurityValidator;
-use spt_core::{Config, Seq, ShadowTaint, TaintMask, UntaintKind};
+use spt_core::{Config, Seq};
 use spt_frontend::Frontend;
 use spt_isa::{Inst, Program, Reg};
 use spt_mem::{Cache, HierarchyConfig, Level, MemSystem, Tlb};
 use spt_util::TraceSink;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-
-/// O(1) seq → ROB index. The ROB is sorted by seq but squashes leave gaps,
-/// so index arithmetic alone is not enough; this keeps a sequence-keyed
-/// window over the in-flight range mapping each seq to its *absolute*
-/// dispatch position (stable under `pop_front`), from which the current
-/// physical index is `abs - popped`. The window only ever grows at the back
-/// (dispatch), shrinks at the front (retire), and truncates (squash) —
-/// mirroring the only three ways the ROB itself mutates.
-#[derive(Clone, Debug, Default)]
-struct RobIndex {
-    /// Seq corresponding to `win[0]` (meaningful while `win` is non-empty).
-    base: Seq,
-    /// Absolute dispatch position per seq; `u64::MAX` marks a squash gap.
-    win: VecDeque<u64>,
-    /// Entries retired off the ROB front so far.
-    popped: u64,
-    /// Entries ever dispatched (the next absolute position).
-    pushed: u64,
-}
-
-impl RobIndex {
-    const GAP: u64 = u64::MAX;
-
-    fn get(&self, seq: Seq) -> Option<usize> {
-        let off = seq.checked_sub(self.base)?;
-        match self.win.get(off as usize) {
-            Some(&abs) if abs != Self::GAP => Some((abs - self.popped) as usize),
-            _ => None,
-        }
-    }
-
-    /// Records a dispatch; seqs are strictly increasing, so any skipped
-    /// range (a squashed suffix refetched under fresh seqs) becomes gaps.
-    fn push(&mut self, seq: Seq) {
-        if self.win.is_empty() {
-            self.base = seq;
-        }
-        while self.base + (self.win.len() as u64) < seq {
-            self.win.push_back(Self::GAP);
-        }
-        self.win.push_back(self.pushed);
-        self.pushed += 1;
-    }
-
-    /// Records the head retiring, then sheds any leading gaps.
-    fn pop_front(&mut self) {
-        let abs = self.win.pop_front().expect("retired head is indexed");
-        debug_assert_eq!(abs, self.popped);
-        self.base += 1;
-        self.popped += 1;
-        while let Some(&Self::GAP) = self.win.front() {
-            self.win.pop_front();
-            self.base += 1;
-        }
-    }
-
-    /// Drops every seq younger than `seq` (suffix squash). Rolls `pushed`
-    /// back so absolute positions stay contiguous over the surviving
-    /// entries — the invariant `physical = abs - popped` depends on it.
-    fn squash_after(&mut self, seq: Seq) {
-        let keep = (seq + 1).saturating_sub(self.base);
-        if keep == 0 {
-            self.win.clear();
-        } else if (keep as usize) < self.win.len() {
-            self.win.truncate(keep as usize);
-        }
-        while let Some(&Self::GAP) = self.win.back() {
-            self.win.pop_back();
-        }
-        self.pushed = match self.win.back() {
-            Some(&abs) => abs + 1,
-            None => self.popped,
-        };
-    }
-}
 
 /// Limits for [`Machine::run`].
 #[derive(Clone, Copy, Debug)]
@@ -208,9 +134,8 @@ pub struct Machine {
     rob: VecDeque<RobEntry>,
     rob_pos: RobIndex,
     fetch_q: VecDeque<Fetched>,
-    /// The protection scheme: the leak gate and its taint state.
+    /// The protection scheme: the leak gate and all of its taint state.
     protection: Protection,
-    shadow: ShadowTaint,
     fetch_pc: u64,
     fetch_stalled: bool,
     next_seq: Seq,
@@ -221,18 +146,10 @@ pub struct Machine {
     sq_used: usize,
     stats: MachineStats,
     last_retire_cycle: u64,
-    /// Recently retired, non-forwarded loads whose output register may
-    /// still be declassified by an in-flight consumer's visibility point.
-    /// When a broadcast untaints such an output, the §6.8 load rule ②
-    /// applies (paper §8, proof case 3): the load is non-speculative, its
-    /// address is public, so the read bytes become inferable.
-    retired_loads: RetiredLoadTable,
     /// Event-driven scheduler bookkeeping: wakeup lists, ready queue,
     /// completion heap, candidate index sets and the VP cursor (see
     /// `sched` module docs). Pure acceleration structures over the ROB.
     sched: Scheduler,
-    /// Optional §8 model attacker cross-checking every untaint decision.
-    validator: Option<SecurityValidator>,
     /// L1 instruction cache (Table 1: 32 KiB, 4-way, 2-cycle). Instructions
     /// are 8 bytes, so a 64-byte line holds 8 of them. Misses stall fetch
     /// for an L2-hit latency (code is assumed L2-resident).
@@ -279,13 +196,6 @@ impl Machine {
         prot: Config,
         mem: MemSystem,
     ) -> Machine {
-        let protection = Protection::new(prot, core.num_phys);
-        // Memory taint is tracked only alongside SPT's register taint.
-        let shadow = ShadowTaint::new(if protection.engine().is_some() {
-            prot.shadow
-        } else {
-            spt_core::ShadowMode::None
-        });
         let mut m = Machine {
             core,
             prot,
@@ -297,8 +207,7 @@ impl Machine {
             rob: VecDeque::with_capacity(core.rob_size),
             rob_pos: RobIndex::default(),
             fetch_q: VecDeque::with_capacity(core.fetch_queue),
-            protection,
-            shadow,
+            protection: Protection::new(prot, core.num_phys),
             fetch_pc: 0,
             fetch_stalled: false,
             next_seq: 1,
@@ -309,9 +218,7 @@ impl Machine {
             sq_used: 0,
             stats: MachineStats::default(),
             last_retire_cycle: 0,
-            retired_loads: RetiredLoadTable::new(core.num_phys, 128),
             sched: Scheduler::new(core.num_phys),
-            validator: None,
             icache: Cache::new(spt_mem::CacheConfig {
                 geometry: spt_mem::CacheGeometry {
                     size_bytes: 32 * 1024,
@@ -349,9 +256,7 @@ impl Machine {
     /// meaningful for SPT configurations (the validator models SPT's
     /// semantics).
     pub fn enable_validation(&mut self) {
-        if self.protection.engine().is_some() {
-            self.validator = Some(SecurityValidator::new());
-        }
+        self.protection.enable_validation();
     }
 
     /// Attaches a pipeline trace sink. Every subsequently retired or
@@ -408,13 +313,13 @@ impl Machine {
     /// the persistence check for declared secrets. Always true when no
     /// memory taint is tracked.
     pub fn shadow_byte_tainted(&self, addr: u64) -> bool {
-        self.shadow.probe_byte(addr)
+        self.protection.shadow_byte_tainted(addr)
     }
 
     /// Number of tracked recently retired loads (diagnostics; bounded by
     /// the table capacity of 128).
     pub fn retired_loads_live(&self) -> usize {
-        self.retired_loads.live()
+        self.protection.retired_loads_live()
     }
 
     /// Frontend snapshots held, and the control-flow instructions in the
@@ -442,12 +347,7 @@ impl Machine {
     /// Finalizes and returns the validator's findings: the number of
     /// justified untaint decisions and any Theorem-1 violations.
     pub fn validation_report(&mut self) -> Option<(u64, Vec<String>)> {
-        let mut v = self.validator.take()?;
-        let rf = &self.rf;
-        v.finish(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
-        let report = (v.checks_passed(), v.violations().to_vec());
-        self.validator = Some(v);
-        Some(report)
+        self.protection.validation_report(&self.rf)
     }
 
     /// The memory system (for initialization and attack-receiver probing).
@@ -523,8 +423,8 @@ impl Machine {
         h.write_u64(self.cycle);
         h.write_u64(self.stats.retired);
         h.write_u64(self.stats.squashes);
-        if let Some(e) = self.protection.engine() {
-            h.write_u64(e.stats().decision_digest());
+        if let Some(spt) = self.protection.spt_stats() {
+            h.write_u64(spt.decision_digest());
         }
         h.finish()
     }
@@ -533,8 +433,8 @@ impl Machine {
     pub fn stats(&self) -> MachineStats {
         let mut s = self.stats.clone();
         s.cycles = self.cycle;
-        if let Some(e) = self.protection.engine() {
-            s.spt = e.stats().clone();
+        if let Some(spt) = self.protection.spt_stats() {
+            s.spt = spt.clone();
         }
         s
     }
@@ -583,26 +483,23 @@ impl Machine {
         self.delay_notes.clear();
         self.update_vp();
         self.retire();
-        self.untaint_step();
+        let (untainted, broadcasts) =
+            self.protection.untaint_step(&mut self.rob, &self.rob_pos, &mut self.sched);
+        self.progress |= untainted;
+        if let Some(p) = &mut self.probe {
+            p.untaint(self.cycle, &broadcasts);
+        }
         // Resolve validator checks before rename can recycle registers:
         // the attacker observes leaked values when they leak, not later.
-        self.drain_validator();
+        self.progress |= self.protection.drain_validator(&self.rf);
         self.writeback();
         self.resolve();
         self.issue();
         self.rename();
         self.fetch();
-        self.drain_validator();
+        self.progress |= self.protection.drain_validator(&self.rf);
         self.sample_occupancy(1);
         self.cycle += 1;
-    }
-
-    fn drain_validator(&mut self) {
-        if let Some(mut v) = self.validator.take() {
-            let rf = &self.rf;
-            self.progress |= v.drain(|p| if rf.is_ready(p) { Some(rf.read(p)) } else { None });
-            self.validator = Some(v);
-        }
     }
 
     /// Records the per-cycle occupancy samples `n` times (once per cycle
@@ -634,7 +531,7 @@ impl Machine {
     /// delay trace events stamped with the skipped cycle, and the
     /// telemetry samples.
     fn fast_forward(&mut self, limit: u64) {
-        if self.protection.engine().is_some_and(|e| !e.quiescent()) {
+        if !self.protection.quiescent() {
             return;
         }
         let now = self.cycle;
@@ -773,37 +670,12 @@ impl Machine {
 
             if head.is_store() {
                 let addr = head.mem.addr.expect("completed store has an address");
-                let bytes = head.mem.bytes;
-                let value = head.mem.value;
-                let data_idx = head.inst.store_data_src().expect("store has data operand");
-                let data_mask = self
-                    .protection
-                    .engine()
-                    .and_then(|e| e.operand_mask(seq, data_idx))
-                    .unwrap_or(TaintMask::ALL);
-                match self.mem.write_timed(addr, value, bytes, self.cycle) {
+                match self.mem.write_timed(addr, head.mem.value, head.mem.bytes, self.cycle) {
                     Err(_busy) => break, // retry next cycle
-                    Ok(out) => {
-                        for ev in out.l1_events {
-                            self.shadow.on_l1_event(ev);
-                        }
-                        // §6.8 store rule ①: the written bytes take the data
-                        // operand's taint.
-                        self.shadow.store(addr, bytes, data_mask);
-                        if let Some(v) = self.validator.as_mut() {
-                            let mut public_mask = 0u8;
-                            for i in 0..bytes.min(8) {
-                                if !data_mask.byte_tainted(i) {
-                                    public_mask |= 1 << i;
-                                }
-                            }
-                            v.on_store_drain(seq, addr, bytes, data_idx, public_mask);
-                        }
-                    }
+                    Ok(out) => self.protection.drain_store(head, &out.l1_events),
                 }
             }
 
-            let head = &self.rob[0];
             // The retired head satisfied the retire condition, which
             // implies self-ok under both threat models, so it was inside
             // the VP cursor's prefix.
@@ -825,24 +697,6 @@ impl Machine {
                 self.transmit_obs.write_u64(head.pc);
                 self.transmit_obs.write_u64(self.cycle);
             }
-            if head.is_load()
-                && head.mem.fwd_from.is_none()
-                && head.mem.accessed
-                && !matches!(self.prot.shadow, spt_core::ShadowMode::None)
-            {
-                if let (Some(addr), Some((_, phys, _))) = (head.mem.addr, head.dest) {
-                    if self
-                        .protection
-                        .engine()
-                        .is_some_and(|e| e.dest_mask(seq).is_some_and(|m| m.is_clear()))
-                        || head.mem.range_cleared
-                    {
-                        // Already public: nothing more to track.
-                    } else {
-                        self.retired_loads.insert(phys, addr, head.mem.bytes);
-                    }
-                }
-            }
             if head.inst.is_control_flow() {
                 let target = head.actual_next.unwrap_or(head.pred_next);
                 let info = self.snaps.predict_info(head.snap);
@@ -854,10 +708,7 @@ impl Machine {
             if let Some((_, _new, old)) = head.dest {
                 self.rf.release(old);
             }
-            self.protection.retire(seq);
-            if let Some(v) = self.validator.as_mut() {
-                v.on_retire(seq);
-            }
+            self.protection.retire(head);
             if head.is_load() {
                 self.lq_used -= 1;
             }
@@ -877,139 +728,6 @@ impl Machine {
         let oldest =
             self.rob.front().map(|e| e.snap).or_else(|| self.fetch_q.front().map(|f| f.snap));
         self.snaps.release(oldest);
-    }
-
-    // ------------------------------------------------------------------
-    // Untaint propagation + store-to-load untaint gating
-    // ------------------------------------------------------------------
-
-    fn untaint_step(&mut self) {
-        if let Some(engine) = self.protection.engine_mut() {
-            self.progress |= !engine.quiescent();
-            let step = engine.step();
-            if let Some(v) = self.validator.as_mut() {
-                for &(phys, kind) in &step.broadcasts {
-                    v.on_broadcast(phys, kind);
-                }
-            }
-            if let Some(p) = &mut self.probe {
-                p.untaint(self.cycle, &step.broadcasts);
-            }
-            if !matches!(self.prot.shadow, spt_core::ShadowMode::None) {
-                for &(phys, _) in &step.broadcasts {
-                    if let Some(r) = self.retired_loads.take(phys) {
-                        self.shadow.clear_range(r.addr, r.bytes);
-                        if let Some(v) = self.validator.as_mut() {
-                            v.on_mem_inferable(r.addr, r.bytes, phys);
-                        }
-                    }
-                }
-            }
-            self.stl_pass();
-        }
-    }
-
-    /// Recomputes `STLPublic` for forwarding pairs and propagates untaint
-    /// across public pairs (§6.7 rules ① and ②).
-    fn stl_pass(&mut self) {
-        let Some(engine) = self.protection.engine_mut() else { return };
-        if !engine.config().untaint.forward() {
-            return;
-        }
-        let backward = engine.config().untaint.backward();
-
-        // Forwarded loads, oldest first (the scheduler tracks them).
-        let mut snapshot = std::mem::take(&mut self.sched.stl_snapshot);
-        snapshot.clear();
-        snapshot.extend(self.sched.fwd_loads.iter());
-
-        for &l_seq in &snapshot {
-            let i = self.rob_pos.get(l_seq).expect("tracked forwarded load is in the ROB");
-            let (s_seq, already_public) = {
-                let l = &self.rob[i];
-                debug_assert!(l.is_load());
-                (l.mem.fwd_from.expect("tracked"), l.mem.stl_public)
-            };
-            let public = already_public || {
-                // ② all of the load's address operands are public,
-                let load_addr_public = engine.leak_operands_clear(l_seq);
-                // ③ every store older than L and younger than or equal to S
-                // has a public address. Stores that already retired reached
-                // their VP, which declassified their addresses.
-                let stores_public =
-                    self.sched.stores.range(s_seq..l_seq).all(|s| engine.leak_operands_clear(s));
-                load_addr_public && stores_public
-            };
-            if !public {
-                continue;
-            }
-            if !already_public {
-                self.rob[i].mem.stl_public = true;
-                self.progress = true;
-            }
-            // Rule ①: forward untaint of the load output from the store's
-            // data operand. If the store already retired we can no longer
-            // observe its data taint; stay conservative.
-            let data_idx = self.rob_pos.get(s_seq).and_then(|j| self.rob[j].inst.store_data_src());
-            let Some(data_idx) = data_idx else { continue };
-            if let Some(v) = self.validator.as_mut() {
-                self.progress |= v.on_stl_pair(l_seq, s_seq, data_idx);
-            }
-            if let Some(mask) = engine.operand_mask(s_seq, data_idx) {
-                if mask.is_clear() {
-                    engine.set_load_output(l_seq, TaintMask::NONE, UntaintKind::StlForward);
-                }
-            }
-            // Rule ②: backward untaint of the store data from the load
-            // output.
-            if backward {
-                if let Some(dmask) = engine.dest_mask(l_seq) {
-                    if dmask.is_clear() {
-                        engine.untaint_operand(s_seq, data_idx, UntaintKind::StlBackward);
-                    }
-                }
-            }
-        }
-
-        // Post-hoc shadow rule ② (§6.8, justified by the §8 proof's third
-        // case): once a load has reached the VP (its address is public and
-        // the access is publicly known) and its output register becomes
-        // untainted — typically because a younger transmitter declassified
-        // it — the read bytes are inferable, so the L1 taint can clear.
-        // This is what lets hot, repeatedly-leaked data (jump tables,
-        // indices, node pointers) become public in the shadow L1.
-        if !matches!(self.prot.shadow, spt_core::ShadowMode::None) {
-            // Candidates: completed, non-forwarded loads (writeback adds
-            // them to `shadow_wait`); they wait here until they reach the
-            // VP and their output untaints, or leave the ROB.
-            snapshot.clear();
-            snapshot.extend(self.sched.shadow_wait.iter());
-            for &seq in &snapshot {
-                let i = self.rob_index(seq).expect("tracked load is in the ROB");
-                let e = &self.rob[i];
-                debug_assert!(
-                    e.is_load() && e.state == ExecState::Done && e.mem.fwd_from.is_none()
-                );
-                if !e.vp || e.mem.range_cleared {
-                    continue;
-                }
-                let Some(addr) = e.mem.addr else { continue };
-                let engine = self.protection.engine().expect("stl_pass runs with engine");
-                if engine.dest_mask(seq).is_some_and(|m| m.is_clear()) {
-                    let bytes = e.mem.bytes;
-                    let phys = e.dest.map(|(_, p, _)| p);
-                    self.shadow.clear_range(addr, bytes);
-                    self.rob[i].mem.range_cleared = true;
-                    self.sched.shadow_wait.remove(seq);
-                    self.progress = true;
-                    if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
-                        v.on_mem_inferable(addr, bytes, p);
-                    }
-                }
-            }
-        }
-        snapshot.clear();
-        self.sched.stl_snapshot = snapshot;
     }
 
     // ------------------------------------------------------------------
@@ -1055,23 +773,11 @@ impl Machine {
                 self.wake_dependents(phys);
             }
             if is_load {
-                self.finish_load_taint(i, seq);
-                if self.rob[i].mem.fwd_from.is_none() && self.stl_shadow_tracking() {
-                    self.sched.shadow_wait.insert(seq);
-                }
+                self.protection.load_data(&self.rob[i], &mut self.sched);
             }
         }
         due.clear();
         self.sched.due = due;
-    }
-
-    /// Whether the post-hoc §6.8 rule-② pass at the end of `stl_pass` can
-    /// ever run (it needs the taint engine, forward untainting and a
-    /// shadow memory) — the gate for tracking `shadow_wait` candidates.
-    fn stl_shadow_tracking(&self) -> bool {
-        self.protection.engine().is_some()
-            && self.prot.untaint.forward()
-            && !matches!(self.prot.shadow, spt_core::ShadowMode::None)
     }
 
     /// Wakes instructions waiting on `phys` after it was written: each
@@ -1092,37 +798,6 @@ impl Machine {
         }
         list.clear();
         self.sched.waiters[phys as usize] = list;
-    }
-
-    /// Applies the §6.8 load rules when a load's data arrives.
-    fn finish_load_taint(&mut self, idx: usize, seq: Seq) {
-        let Some(engine) = self.protection.engine_mut() else { return };
-        let e = &self.rob[idx];
-        if e.mem.fwd_from.is_some() || e.mem.oblivious {
-            // Forwarded data flows via STLPublic (stl_pass); oblivious loads
-            // bypassed the cache entirely, so the shadow has nothing to say.
-            return;
-        }
-        let Some(addr) = e.mem.addr else { return };
-        let bytes = e.mem.bytes;
-        let kind = match self.prot.shadow {
-            spt_core::ShadowMode::L1 => UntaintKind::ShadowL1,
-            spt_core::ShadowMode::Mem => UntaintKind::ShadowMem,
-            spt_core::ShadowMode::None => UntaintKind::ShadowL1, // unused
-        };
-        let dest_clear = engine.dest_mask(seq).is_some_and(|m| m.is_clear());
-        if dest_clear {
-            // Load rule ②: the output is already public, so the read bytes
-            // are provably public.
-            self.shadow.clear_range(addr, bytes);
-            let phys = self.rob[idx].dest.map(|(_, p, _)| p);
-            if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
-                v.on_mem_inferable(addr, bytes, p);
-            }
-        } else {
-            let mask = self.shadow.read_mask(addr, bytes);
-            engine.set_load_output(seq, mask, kind);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1256,9 +931,6 @@ impl Machine {
         snapshot.clear();
         self.sched.squash_snapshot = snapshot;
         self.protection.squash_from(seq + 1);
-        if let Some(v) = self.validator.as_mut() {
-            v.on_squash(seq + 1);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1388,14 +1060,35 @@ impl Machine {
         e.result = result;
         e.actual_next = actual_next;
         e.actual_taken = actual_taken;
+        self.start_execution(i, self.cycle + latency);
+    }
+
+    /// Issues entry `i` to complete at `done_at`: it leaves the
+    /// reservation station and the ready queue for the completion heap.
+    fn start_execution(&mut self, i: usize, done_at: u64) {
+        let e = &mut self.rob[i];
         e.state = ExecState::Issued;
-        e.done_at = self.cycle + latency;
+        e.done_at = done_at;
         e.timing.issue_cycle = Some(self.cycle);
         e.in_rs = false;
-        let (seq, done_at) = (e.seq, e.done_at);
+        let seq = e.seq;
         self.rs_used -= 1;
         self.sched.ready.remove(seq);
         self.sched.completions.push(Reverse((done_at, seq)));
+    }
+
+    /// Issues load `i`, which read `value` at `addr` (forwarded from store
+    /// `fwd_from`, if any), to complete at `done_at`.
+    fn issue_load(&mut self, i: usize, addr: u64, value: u64, fwd_from: Option<Seq>, done_at: u64) {
+        let e = &mut self.rob[i];
+        e.mem.addr = Some(addr);
+        e.mem.value = value;
+        e.mem.fwd_from = fwd_from;
+        e.mem.accessed = true;
+        if fwd_from.is_some() {
+            self.sched.fwd_loads.insert(e.seq);
+        }
+        self.start_execution(i, done_at);
     }
 
     /// Store-queue search for load `seq` reading `bytes` at `addr`,
@@ -1439,56 +1132,25 @@ impl Machine {
         // Address translation (the TLB channel, §2.1/§7.4): charged before
         // the cache access, covered by the same transmitter gate.
         let tlb_extra = self.dtlb.translate(addr);
-        let (value, done_at, fwd_from) = match forward {
-            Some((s_seq, v)) => {
-                if protected {
-                    // STT/SPT forwarding security: the load always accesses
-                    // the cache so the forwarding decision is invisible.
-                    match self.mem.access_timed(addr, self.cycle, false) {
-                        Err(_busy) => return false,
-                        Ok(out) => {
-                            for ev in out.l1_events {
-                                self.shadow.on_l1_event(ev);
-                            }
-                            (v, out.done_at + tlb_extra, Some(s_seq))
-                        }
-                    }
-                } else {
-                    (v, self.cycle + 1 + tlb_extra, Some(s_seq))
-                }
-            }
+        let (value, done_at, fwd_from, l1_events) = match forward {
+            // STT/SPT forwarding security: the load always accesses the
+            // cache so the forwarding decision is invisible.
+            Some((s_seq, v)) if protected => match self.mem.access_timed(addr, self.cycle, false) {
+                Err(_busy) => return false,
+                Ok(out) => (v, out.done_at + tlb_extra, Some(s_seq), out.l1_events),
+            },
+            Some((s_seq, v)) => (v, self.cycle + 1 + tlb_extra, Some(s_seq), Vec::new()),
             None => match self.mem.read_timed(addr, bytes, self.cycle) {
                 Err(_busy) => return false,
-                Ok((v, out)) => {
-                    for ev in out.l1_events {
-                        self.shadow.on_l1_event(ev);
-                    }
-                    (v, out.done_at + tlb_extra, None)
-                }
+                Ok((v, out)) => (v, out.done_at + tlb_extra, None, out.l1_events),
             },
         };
 
         if fwd_from.is_some() {
             self.stats.stl_forwards += 1;
         }
-        if let Some(v) = self.validator.as_mut() {
-            v.on_mem_addr(seq, addr);
-        }
-        let e = &mut self.rob[i];
-        e.mem.addr = Some(addr);
-        e.mem.value = value;
-        e.mem.fwd_from = fwd_from;
-        e.mem.accessed = true;
-        e.state = ExecState::Issued;
-        e.done_at = done_at;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        self.rs_used -= 1;
-        self.sched.ready.remove(seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
-        if fwd_from.is_some() {
-            self.sched.fwd_loads.insert(seq);
-        }
+        self.protection.mem_access(seq, addr, &l1_events);
+        self.issue_load(i, addr, value, fwd_from, done_at);
         true
     }
 
@@ -1511,26 +1173,10 @@ impl Machine {
             None => self.mem.store_ref().read(addr, bytes),
         };
 
-        if let Some(v) = self.validator.as_mut() {
-            v.on_mem_addr(seq, addr);
-        }
+        self.protection.mem_access(seq, addr, &[]);
+        self.rob[i].mem.oblivious = true;
         let done_at = self.cycle + self.worst_mem_latency;
-        let e = &mut self.rob[i];
-        e.mem.addr = Some(addr);
-        e.mem.value = value;
-        e.mem.fwd_from = forward.map(|(s, _)| s);
-        e.mem.accessed = true;
-        e.mem.oblivious = true;
-        e.state = ExecState::Issued;
-        e.done_at = done_at;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        self.rs_used -= 1;
-        self.sched.ready.remove(seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
-        if forward.is_some() {
-            self.sched.fwd_loads.insert(seq);
-        }
+        self.issue_load(i, addr, value, forward.map(|(s, _)| s), done_at);
         true
     }
 
@@ -1564,26 +1210,17 @@ impl Machine {
             }
         }
 
-        if let Some(v) = self.validator.as_mut() {
-            v.on_mem_addr(seq, addr);
-        }
+        self.protection.mem_access(seq, addr, &[]);
         let tlb_extra = self.dtlb.translate(addr);
         let e = &mut self.rob[i];
         e.mem.addr = Some(addr);
         e.mem.value = value;
-        e.state = ExecState::Issued;
-        e.done_at = self.cycle + 1 + tlb_extra;
-        e.timing.issue_cycle = Some(self.cycle);
-        e.in_rs = false;
-        let done_at = e.done_at;
         if let Some(v) = victim {
             e.mem.pending_violation = Some(v);
             self.stats.mem_violations += 1;
             self.sched.pending_viol.insert(seq);
         }
-        self.rs_used -= 1;
-        self.sched.ready.remove(seq);
-        self.sched.completions.push(Reverse((done_at, seq)));
+        self.start_execution(i, self.cycle + 1 + tlb_extra);
     }
 
     // ------------------------------------------------------------------
@@ -1622,10 +1259,8 @@ impl Machine {
             }
             let dest = inst.dest().map(|arch| {
                 let (new, old) = self.rf.allocate(arch).expect("free list checked");
-                // A recycled physical register no longer refers to the
-                // retired load's value, and any leftover waiters belong to
-                // squashed consumers of its previous life.
-                self.retired_loads.clear_phys(new);
+                // Any leftover waiters of a recycled physical register
+                // belong to squashed consumers of its previous life.
                 self.sched.waiters[new as usize].clear();
                 (arch, new, old)
             });
@@ -1633,22 +1268,11 @@ impl Machine {
             let seq = self.next_seq;
             self.next_seq += 1;
 
-            let dest_taint = self.protection.rename(seq, inst, srcs, dest.map(|(_, new, _)| new));
-            if let Some(dest_taint) = dest_taint {
-                if let Some(v) = self.validator.as_mut() {
-                    v.on_rename(
-                        seq,
-                        f.pc,
-                        inst,
-                        srcs,
-                        dest.map(|(_, new, _)| new),
-                        dest.is_some() && dest_taint.is_clear(),
-                    );
-                }
-                if !dest_taint.is_clear() {
-                    if let (Some((_, new, _)), Some(p)) = (dest, &mut self.probe) {
-                        p.taint(self.cycle, seq, new);
-                    }
+            let dest_taint =
+                self.protection.rename(seq, f.pc, inst, srcs, dest.map(|(_, new, _)| new));
+            if dest_taint.is_some_and(|t| !t.is_clear()) {
+                if let (Some((_, new, _)), Some(p)) = (dest, &mut self.probe) {
+                    p.taint(self.cycle, seq, new);
                 }
             }
 
@@ -1748,7 +1372,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spt_core::ThreatModel;
+    use spt_core::{ThreatModel, UntaintKind};
     use spt_isa::asm::Assembler;
     use spt_isa::interp::Interp;
 

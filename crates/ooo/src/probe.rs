@@ -11,7 +11,7 @@
 use crate::machine::DelayNote;
 use crate::rob::RobEntry;
 use spt_core::{PhysReg, UntaintKind};
-use spt_util::{Histogram, InstRecord, Json, Log2Histogram, SptTraceEvent, TraceSink};
+use spt_util::{Histogram, InstRecord, Json, SptTraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
@@ -31,23 +31,23 @@ pub struct Telemetry {
     pub mshr_inflight: Histogram,
     /// Cycles from a register being born tainted at rename to its untaint
     /// broadcast (registers that die tainted are not counted).
-    pub taint_latency: Log2Histogram,
+    pub taint_latency: Histogram,
     /// Per-transmitter total cycles blocked by the protection gate
     /// (recorded at retire; zero-delay transmitters are included so the
     /// distribution has a baseline).
-    pub xmit_delay: Log2Histogram,
+    pub xmit_delay: Histogram,
 }
 
 impl Default for Telemetry {
     fn default() -> Telemetry {
         Telemetry {
-            rob_occupancy: Histogram::new(8),
-            rs_occupancy: Histogram::new(4),
-            lq_occupancy: Histogram::new(2),
-            sq_occupancy: Histogram::new(2),
-            mshr_inflight: Histogram::new(1),
-            taint_latency: Log2Histogram::new(),
-            xmit_delay: Log2Histogram::new(),
+            rob_occupancy: Histogram::linear(8),
+            rs_occupancy: Histogram::linear(4),
+            lq_occupancy: Histogram::linear(2),
+            sq_occupancy: Histogram::linear(2),
+            mshr_inflight: Histogram::linear(1),
+            taint_latency: Histogram::log2(),
+            xmit_delay: Histogram::log2(),
         }
     }
 }
@@ -238,7 +238,7 @@ mod tests {
         p
     }
 
-    fn latency(p: &Probe) -> &Log2Histogram {
+    fn latency(p: &Probe) -> &Histogram {
         &p.telemetry.as_ref().expect("enabled").taint_latency
     }
 

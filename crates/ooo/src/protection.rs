@@ -1,12 +1,21 @@
-//! The protection scheme the pipeline consults (paper §6.3–6.4).
+//! The protection scheme the pipeline consults (paper §6), and all of its
+//! state.
 //!
 //! The schemes differ in one decision: when a transmitter may issue and
 //! when a branch (or a deferred memory-order violation) may apply its
 //! resolution. Both wait until the instruction's leak operands are
 //! untainted or it reaches the visibility point (VP) — STT's
 //! implicit-channel rule, which SPT inherits — so [`Protection`] exposes
-//! that as one gate, [`Protection::leak_allowed`], plus the lifecycle hooks
-//! that keep each scheme's taint state current.
+//! that as one gate, [`Protection::leak_allowed`].
+//!
+//! Its lifecycle hooks are the only way the pipeline touches a scheme's
+//! taint state: rename, reaching the VP, memory access, load data
+//! arrival, store drain, retire, squash, the per-cycle untaint step with
+//! the §6.7 store-to-load pass, and the §8 validator drain. SPT owns its
+//! register taint engine (§6.3–6.6), the memory taint shadow (§6.8), the
+//! recently retired loads that shadow still waits on, and the optional §8
+//! validator; STT owns its s-taint tracker. Every hook but rename and
+//! reaching the VP is a no-op under Unsafe and STT.
 //!
 //! Under STT the VP disjunct never changes a verdict: an entry at the VP
 //! has only older instructions ahead of it, and the VP frontier — which
@@ -14,22 +23,44 @@
 //! every one of them, so no leak operand can descend from a load past it.
 //! The gate asserts this in debug builds.
 
-use crate::rob::RobEntry;
+use crate::rename::RegisterFile;
+use crate::rob::{ExecState, RobEntry, RobIndex};
+use crate::sched::{RetiredLoadTable, Scheduler};
+use crate::validate::SecurityValidator;
 use spt_core::{
-    Config, PhysReg, ProtectionKind, RenameInfo, Seq, SttTracker, TaintEngine, TaintMask,
+    Config, PhysReg, ProtectionKind, RenameInfo, Seq, ShadowMode, ShadowTaint, SptStats,
+    SttTracker, TaintEngine, TaintMask, UntaintKind,
 };
 use spt_isa::Inst;
+use spt_mem::LineEvent;
+use std::collections::VecDeque;
 
 /// The active protection scheme and its taint state.
 #[derive(Clone, Debug)]
 pub(crate) enum Protection {
     /// UnsafeBaseline: nothing is ever held back.
     Unsafe,
-    /// SPT's taint engine; with untainting off this is SecureBaseline,
-    /// whose transmitters only ever pass the gate at the VP.
-    Spt(Box<TaintEngine>),
+    /// SPT; with untainting off this is SecureBaseline, whose transmitters
+    /// only ever pass the gate at the VP.
+    Spt(Box<Spt>),
     /// STT's s-taint tracker.
     Stt(SttTracker),
+}
+
+/// SPT's state.
+#[derive(Clone, Debug)]
+pub(crate) struct Spt {
+    engine: TaintEngine,
+    /// Memory taint: the shadow L1 or the whole-memory shadow (§6.8).
+    shadow: ShadowTaint,
+    /// Recently retired, non-forwarded loads whose output register may
+    /// still be declassified by an in-flight consumer's visibility point.
+    /// When a broadcast untaints such an output, the §6.8 load rule ②
+    /// applies (paper §8, proof case 3): the load is non-speculative, its
+    /// address is public, so the read bytes become inferable.
+    retired_loads: RetiredLoadTable,
+    /// Optional §8 model attacker cross-checking every untaint decision.
+    validator: Option<SecurityValidator>,
 }
 
 impl Protection {
@@ -56,24 +87,13 @@ impl Protection {
                     });
                     engine.retire(0);
                 }
-                Protection::Spt(Box::new(engine))
+                Protection::Spt(Box::new(Spt {
+                    engine,
+                    shadow: ShadowTaint::new(cfg.shadow),
+                    retired_loads: RetiredLoadTable::new(num_phys, 128),
+                    validator: None,
+                }))
             }
-        }
-    }
-
-    /// The SPT taint engine, if this is SPT (or SecureBaseline).
-    pub(crate) fn engine(&self) -> Option<&TaintEngine> {
-        match self {
-            Protection::Spt(engine) => Some(engine),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the SPT taint engine.
-    pub(crate) fn engine_mut(&mut self) -> Option<&mut TaintEngine> {
-        match self {
-            Protection::Spt(engine) => Some(engine),
-            _ => None,
         }
     }
 
@@ -84,7 +104,7 @@ impl Protection {
     pub(crate) fn leak_allowed(&self, e: &RobEntry) -> bool {
         match self {
             Protection::Unsafe => true,
-            Protection::Spt(engine) => e.vp || engine.leak_operands_clear(e.seq),
+            Protection::Spt(spt) => e.vp || spt.engine.leak_operands_clear(e.seq),
             Protection::Stt(stt) => {
                 let clear = || {
                     e.inst.sources().iter().enumerate().all(|(i, (_, role))| {
@@ -101,23 +121,29 @@ impl Protection {
         }
     }
 
-    /// Registers a renamed instruction. Returns the destination's taint
-    /// under SPT, `None` under the other schemes.
+    /// Registers the instruction at `pc` renamed as `seq`. Returns the
+    /// destination's taint under SPT, `None` under the other schemes.
     pub(crate) fn rename(
         &mut self,
         seq: Seq,
+        pc: u64,
         inst: Inst,
         srcs: [Option<PhysReg>; 3],
         dest: Option<PhysReg>,
     ) -> Option<TaintMask> {
         match self {
             Protection::Unsafe => None,
-            Protection::Spt(engine) => {
+            Protection::Spt(spt) => {
+                if let Some(d) = dest {
+                    // A recycled register no longer holds a retired load's
+                    // value.
+                    spt.retired_loads.clear_phys(d);
+                }
                 let mut info_srcs = [None; 3];
                 for (k, (_, role)) in inst.sources().iter().enumerate() {
                     info_srcs[k] = Some((srcs[k].expect("looked up"), role));
                 }
-                Some(engine.rename(RenameInfo {
+                let taint = spt.engine.rename(RenameInfo {
                     seq,
                     class: inst.class(),
                     srcs: info_srcs,
@@ -126,7 +152,11 @@ impl Protection {
                         Inst::Load { size, .. } => Some(size.bytes()),
                         _ => None,
                     },
-                }))
+                });
+                if let Some(v) = spt.validator.as_mut() {
+                    v.on_rename(seq, pc, inst, srcs, dest, dest.is_some() && taint.is_clear());
+                }
+                Some(taint)
             }
             Protection::Stt(stt) => {
                 if matches!(inst, Inst::Load { .. }) {
@@ -147,9 +177,9 @@ impl Protection {
     pub(crate) fn reach_vp(&mut self, newly_vp: &[Seq], frontier: Option<Seq>) {
         match self {
             Protection::Unsafe => {}
-            Protection::Spt(engine) => {
+            Protection::Spt(spt) => {
                 for &seq in newly_vp {
-                    engine.declassify_vp(seq);
+                    spt.engine.declassify_vp(seq);
                 }
             }
             Protection::Stt(stt) => {
@@ -160,18 +190,314 @@ impl Protection {
         }
     }
 
-    /// Entry `seq` retired.
-    pub(crate) fn retire(&mut self, seq: Seq) {
-        if let Some(engine) = self.engine_mut() {
-            engine.retire(seq);
+    /// The load or store `seq` issued with address `addr`, raising
+    /// `l1_events` in the L1D (none for a store, which touches the cache
+    /// when it drains, or an oblivious load): the shadow L1 mirrors them,
+    /// and the validator learns the (leaked) address.
+    pub(crate) fn mem_access(&mut self, seq: Seq, addr: u64, l1_events: &[LineEvent]) {
+        if let Protection::Spt(spt) = self {
+            for &ev in l1_events {
+                spt.shadow.on_l1_event(ev);
+            }
+            if let Some(v) = spt.validator.as_mut() {
+                v.on_mem_addr(seq, addr);
+            }
+        }
+    }
+
+    /// Load `e`'s data arrived: applies the §6.8 load rules, and makes a
+    /// non-forwarded load wait in `sched.shadow_wait` for the post-hoc
+    /// rule ② when that can ever run.
+    pub(crate) fn load_data(&mut self, e: &RobEntry, sched: &mut Scheduler) {
+        let Protection::Spt(spt) = self else { return };
+        if e.mem.fwd_from.is_some() {
+            // Forwarded data flows via STLPublic (the untaint step).
+            return;
+        }
+        if spt.engine.config().untaint.forward() && spt.tracks_memory() {
+            sched.shadow_wait.insert(e.seq);
+        }
+        // Oblivious loads bypassed the cache entirely, so the shadow has
+        // nothing to say.
+        let Some(addr) = e.mem.addr.filter(|_| !e.mem.oblivious) else { return };
+        if spt.engine.dest_mask(e.seq).is_some_and(|m| m.is_clear()) {
+            // Load rule ②: the output is already public, so the read bytes
+            // are provably public.
+            spt.clear_read_bytes(addr, e.mem.bytes, e.dest.map(|(_, p, _)| p));
+            return;
+        }
+        let kind = match spt.engine.config().shadow {
+            ShadowMode::None => return, // loaded data stays tainted
+            ShadowMode::L1 => UntaintKind::ShadowL1,
+            ShadowMode::Mem => UntaintKind::ShadowMem,
+        };
+        let mask = spt.shadow.read_mask(addr, e.mem.bytes);
+        spt.engine.set_load_output(e.seq, mask, kind);
+    }
+
+    /// Store `e` drained to memory, raising `l1_events` in the L1D: the
+    /// written bytes take the data operand's taint (§6.8 store rule ①).
+    pub(crate) fn drain_store(&mut self, e: &RobEntry, l1_events: &[LineEvent]) {
+        let Protection::Spt(spt) = self else { return };
+        let addr = e.mem.addr.expect("completed store has an address");
+        let bytes = e.mem.bytes;
+        let data_idx = e.inst.store_data_src().expect("store has data operand");
+        let data_mask = spt.engine.operand_mask(e.seq, data_idx).unwrap_or(TaintMask::ALL);
+        for &ev in l1_events {
+            spt.shadow.on_l1_event(ev);
+        }
+        spt.shadow.store(addr, bytes, data_mask);
+        if let Some(v) = spt.validator.as_mut() {
+            let mut public_mask = 0u8;
+            for i in 0..bytes.min(8) {
+                if !data_mask.byte_tainted(i) {
+                    public_mask |= 1 << i;
+                }
+            }
+            v.on_store_drain(e.seq, addr, bytes, data_idx, public_mask);
+        }
+    }
+
+    /// Entry `e` retired. A non-forwarded load whose read bytes are not
+    /// yet public is remembered until a broadcast untaints its output.
+    pub(crate) fn retire(&mut self, e: &RobEntry) {
+        let Protection::Spt(spt) = self else { return };
+        if e.is_load()
+            && e.mem.fwd_from.is_none()
+            && e.mem.accessed
+            && !e.mem.range_cleared
+            && spt.tracks_memory()
+            && !spt.engine.dest_mask(e.seq).is_some_and(|m| m.is_clear())
+        {
+            if let (Some(addr), Some((_, phys, _))) = (e.mem.addr, e.dest) {
+                spt.retired_loads.insert(phys, addr, e.mem.bytes);
+            }
+        }
+        spt.engine.retire(e.seq);
+        if let Some(v) = spt.validator.as_mut() {
+            v.on_retire(e.seq);
         }
     }
 
     /// Every entry with seq `from` or younger was squashed.
     pub(crate) fn squash_from(&mut self, from: Seq) {
-        if let Some(engine) = self.engine_mut() {
-            engine.squash_from(from);
+        if let Protection::Spt(spt) = self {
+            spt.engine.squash_from(from);
+            if let Some(v) = spt.validator.as_mut() {
+                v.on_squash(from);
+            }
         }
+    }
+
+    /// One cycle of SPT untaint propagation: the engine's broadcast step,
+    /// load rule ② for the retired loads whose output it untainted, and
+    /// the §6.7 store-to-load pass over the forwarding pairs in `rob`.
+    /// Returns whether any state changed, and the registers broadcast.
+    pub(crate) fn untaint_step(
+        &mut self,
+        rob: &mut VecDeque<RobEntry>,
+        index: &RobIndex,
+        sched: &mut Scheduler,
+    ) -> (bool, Vec<(PhysReg, UntaintKind)>) {
+        let Protection::Spt(spt) = self else { return (false, Vec::new()) };
+        let mut progress = !spt.engine.quiescent();
+        let step = spt.engine.step();
+        if let Some(v) = spt.validator.as_mut() {
+            for &(phys, kind) in &step.broadcasts {
+                v.on_broadcast(phys, kind);
+            }
+        }
+        if spt.tracks_memory() {
+            for &(phys, _) in &step.broadcasts {
+                if let Some(r) = spt.retired_loads.take(phys) {
+                    spt.clear_read_bytes(r.addr, r.bytes, Some(phys));
+                }
+            }
+        }
+        progress |= spt.stl_pass(rob, index, sched);
+        (progress, step.broadcasts)
+    }
+
+    /// Resolves the validator checks whose leaked values `rf` now holds.
+    /// Returns whether any resolved.
+    pub(crate) fn drain_validator(&mut self, rf: &RegisterFile) -> bool {
+        match self {
+            Protection::Spt(spt) => spt
+                .validator
+                .as_mut()
+                .is_some_and(|v| v.drain(|p| rf.is_ready(p).then(|| rf.read(p)))),
+            _ => false,
+        }
+    }
+
+    /// Attaches the §8 validator (SPT only: it models SPT's semantics).
+    pub(crate) fn enable_validation(&mut self) {
+        if let Protection::Spt(spt) = self {
+            spt.validator = Some(SecurityValidator::new());
+        }
+    }
+
+    /// Finalizes the validator against `rf` and returns its findings.
+    pub(crate) fn validation_report(&mut self, rf: &RegisterFile) -> Option<(u64, Vec<String>)> {
+        let Protection::Spt(spt) = self else { return None };
+        let v = spt.validator.as_mut()?;
+        v.finish(|p| rf.is_ready(p).then(|| rf.read(p)));
+        Some((v.checks_passed(), v.violations().to_vec()))
+    }
+
+    /// SPT's taint-engine statistics.
+    pub(crate) fn spt_stats(&self) -> Option<&SptStats> {
+        match self {
+            Protection::Spt(spt) => Some(spt.engine.stats()),
+            _ => None,
+        }
+    }
+
+    /// Whether an untaint step would change nothing.
+    pub(crate) fn quiescent(&self) -> bool {
+        match self {
+            Protection::Spt(spt) => spt.engine.quiescent(),
+            _ => true,
+        }
+    }
+
+    /// Whether the shadow taints the byte at `addr` (always true when no
+    /// memory taint is tracked).
+    pub(crate) fn shadow_byte_tainted(&self, addr: u64) -> bool {
+        match self {
+            Protection::Spt(spt) => spt.shadow.probe_byte(addr),
+            _ => true,
+        }
+    }
+
+    /// Number of tracked recently retired loads.
+    pub(crate) fn retired_loads_live(&self) -> usize {
+        match self {
+            Protection::Spt(spt) => spt.retired_loads.live(),
+            _ => 0,
+        }
+    }
+}
+
+impl Spt {
+    fn tracks_memory(&self) -> bool {
+        self.engine.config().shadow != ShadowMode::None
+    }
+
+    /// Load rule ② (§6.8): the `bytes` at `addr` a load read into `phys`
+    /// are inferable, so their memory taint clears.
+    fn clear_read_bytes(&mut self, addr: u64, bytes: u64, phys: Option<PhysReg>) {
+        self.shadow.clear_range(addr, bytes);
+        if let (Some(v), Some(p)) = (self.validator.as_mut(), phys) {
+            v.on_mem_inferable(addr, bytes, p);
+        }
+    }
+
+    /// Recomputes `STLPublic` for forwarding pairs and propagates untaint
+    /// across public pairs (§6.7 rules ① and ②), then clears the memory
+    /// taint of loads that reached the VP with a public output. Returns
+    /// whether it changed state.
+    fn stl_pass(
+        &mut self,
+        rob: &mut VecDeque<RobEntry>,
+        index: &RobIndex,
+        sched: &mut Scheduler,
+    ) -> bool {
+        let untaint = self.engine.config().untaint;
+        if !untaint.forward() {
+            return false;
+        }
+        let mut progress = false;
+        let engine = &mut self.engine;
+
+        // Forwarded loads, oldest first (the scheduler tracks them).
+        let mut snapshot = std::mem::take(&mut sched.stl_snapshot);
+        snapshot.clear();
+        snapshot.extend(sched.fwd_loads.iter());
+
+        for &l_seq in &snapshot {
+            let i = index.get(l_seq).expect("tracked forwarded load is in the ROB");
+            let (s_seq, already_public) = {
+                let l = &rob[i];
+                debug_assert!(l.is_load());
+                (l.mem.fwd_from.expect("tracked"), l.mem.stl_public)
+            };
+            let public = already_public || {
+                // ② all of the load's address operands are public,
+                let load_addr_public = engine.leak_operands_clear(l_seq);
+                // ③ every store older than L and younger than or equal to S
+                // has a public address. Stores that already retired reached
+                // their VP, which declassified their addresses.
+                let stores_public =
+                    sched.stores.range(s_seq..l_seq).all(|s| engine.leak_operands_clear(s));
+                load_addr_public && stores_public
+            };
+            if !public {
+                continue;
+            }
+            if !already_public {
+                rob[i].mem.stl_public = true;
+                progress = true;
+            }
+            // Rule ①: forward untaint of the load output from the store's
+            // data operand. If the store already retired we can no longer
+            // observe its data taint; stay conservative.
+            let data_idx = index.get(s_seq).and_then(|j| rob[j].inst.store_data_src());
+            let Some(data_idx) = data_idx else { continue };
+            if let Some(v) = self.validator.as_mut() {
+                progress |= v.on_stl_pair(l_seq, s_seq, data_idx);
+            }
+            if let Some(mask) = engine.operand_mask(s_seq, data_idx) {
+                if mask.is_clear() {
+                    engine.set_load_output(l_seq, TaintMask::NONE, UntaintKind::StlForward);
+                }
+            }
+            // Rule ②: backward untaint of the store data from the load
+            // output.
+            if untaint.backward() {
+                if let Some(dmask) = engine.dest_mask(l_seq) {
+                    if dmask.is_clear() {
+                        engine.untaint_operand(s_seq, data_idx, UntaintKind::StlBackward);
+                    }
+                }
+            }
+        }
+
+        // Post-hoc shadow rule ② (§6.8, justified by the §8 proof's third
+        // case): once a load has reached the VP (its address is public and
+        // the access is publicly known) and its output register becomes
+        // untainted — typically because a younger transmitter declassified
+        // it — the read bytes are inferable, so the L1 taint can clear.
+        // This is what lets hot, repeatedly-leaked data (jump tables,
+        // indices, node pointers) become public in the shadow L1.
+        if self.tracks_memory() {
+            // Candidates: completed, non-forwarded loads (`load_data` adds
+            // them to `shadow_wait`); they wait here until they reach the
+            // VP and their output untaints, or leave the ROB.
+            snapshot.clear();
+            snapshot.extend(sched.shadow_wait.iter());
+            for &seq in &snapshot {
+                let i = index.get(seq).expect("tracked load is in the ROB");
+                let e = &rob[i];
+                debug_assert!(
+                    e.is_load() && e.state == ExecState::Done && e.mem.fwd_from.is_none()
+                );
+                if !e.vp || e.mem.range_cleared {
+                    continue;
+                }
+                let Some(addr) = e.mem.addr else { continue };
+                if self.engine.dest_mask(seq).is_some_and(|m| m.is_clear()) {
+                    let (bytes, phys) = (e.mem.bytes, e.dest.map(|(_, p, _)| p));
+                    self.clear_read_bytes(addr, bytes, phys);
+                    rob[i].mem.range_cleared = true;
+                    sched.shadow_wait.remove(seq);
+                    progress = true;
+                }
+            }
+        }
+        snapshot.clear();
+        sched.stl_snapshot = snapshot;
+        progress
     }
 }
 
@@ -195,7 +521,7 @@ mod tests {
     }
 
     fn rename(p: &mut Protection, e: &RobEntry) -> Option<TaintMask> {
-        p.rename(e.seq, e.inst, e.srcs, e.dest.map(|(_, new, _)| new))
+        p.rename(e.seq, e.pc, e.inst, e.srcs, e.dest.map(|(_, new, _)| new))
     }
 
     #[test]
@@ -219,7 +545,8 @@ mod tests {
         let e = load(2, 5, 7);
         rename(&mut p, &e);
         assert!(!p.leak_allowed(&e));
-        p.engine_mut().expect("SPT engine").untaint_operand(2, 0, UntaintKind::StlBackward);
+        let Protection::Spt(spt) = &mut p else { unreachable!("SPT config") };
+        spt.engine.untaint_operand(2, 0, UntaintKind::StlBackward);
         assert!(p.leak_allowed(&e));
 
         // The constant-zero register is public from the start, except under

@@ -1,7 +1,8 @@
-//! Reorder buffer entry types.
+//! Reorder buffer entry types and the seq → ROB index.
 
 use spt_core::{PhysReg, Seq};
 use spt_isa::{Inst, Reg};
+use std::collections::VecDeque;
 
 /// Id of a frontend snapshot in the machine's snapshot ring: the
 /// speculative GHR + RAS state an instruction was fetched under, which
@@ -189,6 +190,81 @@ impl RobEntry {
     /// Whether range `(a, abytes)` fully covers `(b, bbytes)`.
     pub fn range_covers(a: u64, abytes: u64, b: u64, bbytes: u64) -> bool {
         a <= b && b.wrapping_add(bbytes) <= a.wrapping_add(abytes)
+    }
+}
+
+/// O(1) seq → ROB index. The ROB is sorted by seq but squashes leave gaps,
+/// so index arithmetic alone is not enough; this keeps a sequence-keyed
+/// window over the in-flight range mapping each seq to its *absolute*
+/// dispatch position (stable under `pop_front`), from which the current
+/// physical index is `abs - popped`. The window only ever grows at the back
+/// (dispatch), shrinks at the front (retire), and truncates (squash) —
+/// mirroring the only three ways the ROB itself mutates.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RobIndex {
+    /// Seq corresponding to `win[0]` (meaningful while `win` is non-empty).
+    base: Seq,
+    /// Absolute dispatch position per seq; `u64::MAX` marks a squash gap.
+    win: VecDeque<u64>,
+    /// Entries retired off the ROB front so far.
+    popped: u64,
+    /// Entries ever dispatched (the next absolute position).
+    pushed: u64,
+}
+
+impl RobIndex {
+    const GAP: u64 = u64::MAX;
+
+    pub(crate) fn get(&self, seq: Seq) -> Option<usize> {
+        let off = seq.checked_sub(self.base)?;
+        match self.win.get(off as usize) {
+            Some(&abs) if abs != Self::GAP => Some((abs - self.popped) as usize),
+            _ => None,
+        }
+    }
+
+    /// Records a dispatch; seqs are strictly increasing, so any skipped
+    /// range (a squashed suffix refetched under fresh seqs) becomes gaps.
+    pub(crate) fn push(&mut self, seq: Seq) {
+        if self.win.is_empty() {
+            self.base = seq;
+        }
+        while self.base + (self.win.len() as u64) < seq {
+            self.win.push_back(Self::GAP);
+        }
+        self.win.push_back(self.pushed);
+        self.pushed += 1;
+    }
+
+    /// Records the head retiring, then sheds any leading gaps.
+    pub(crate) fn pop_front(&mut self) {
+        let abs = self.win.pop_front().expect("retired head is indexed");
+        debug_assert_eq!(abs, self.popped);
+        self.base += 1;
+        self.popped += 1;
+        while let Some(&Self::GAP) = self.win.front() {
+            self.win.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Drops every seq younger than `seq` (suffix squash). Rolls `pushed`
+    /// back so absolute positions stay contiguous over the surviving
+    /// entries — the invariant `physical = abs - popped` depends on it.
+    pub(crate) fn squash_after(&mut self, seq: Seq) {
+        let keep = (seq + 1).saturating_sub(self.base);
+        if keep == 0 {
+            self.win.clear();
+        } else if (keep as usize) < self.win.len() {
+            self.win.truncate(keep as usize);
+        }
+        while let Some(&Self::GAP) = self.win.back() {
+            self.win.pop_back();
+        }
+        self.pushed = match self.win.back() {
+            Some(&abs) => abs + 1,
+            None => self.popped,
+        };
     }
 }
 

@@ -6,7 +6,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Counters accumulated by one simulation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// Cycles simulated.
     pub cycles: u64,

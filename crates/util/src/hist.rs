@@ -1,24 +1,54 @@
 //! Small fixed-overhead histograms for run telemetry.
 //!
-//! Two shapes cover everything the observability layer records:
+//! One [`Histogram`] type with two bucket rules covers everything the
+//! observability layer records:
 //!
-//! * [`Histogram`] — linear buckets of configurable width, auto-growing.
+//! * linear ([`Histogram::linear`]) — buckets of a configurable width.
 //!   Used for per-cycle structure occupancy (ROB/RS/LQ/SQ, MSHRs in
 //!   flight) where the domain is small and bounded by a config knob.
-//! * [`Log2Histogram`] — one bucket per bit-length. Used for latency
-//!   distributions (taint-to-untaint, transmitter delay) whose tails are
-//!   long and where the interesting resolution is "tens vs. thousands of
-//!   cycles", not exact counts.
+//! * log2 ([`Histogram::log2`]) — one bucket per bit-length. Used for
+//!   latency distributions (taint-to-untaint, transmitter delay) whose
+//!   tails are long and where the interesting resolution is "tens vs.
+//!   thousands of cycles", not exact counts.
 //!
 //! Both render to [`Json`] with explicit bucket bounds so downstream
 //! tooling never has to re-derive the bucketing scheme.
 
 use crate::json::Json;
 
-/// A linear-bucket histogram over `u64` samples.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// How a [`Histogram`] maps a sample to a bucket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Buckets {
+    /// Bucket `i` counts samples in `[i*width, (i+1)*width)`.
+    Linear(u64),
+    /// Bucket `i` counts samples whose bit length is `i`: bucket 0 holds
+    /// the value 0, bucket `i >= 1` holds `[2^(i-1), 2^i)`.
+    Log2,
+}
+
+impl Buckets {
+    fn index(self, value: u64) -> usize {
+        match self {
+            Buckets::Linear(width) => (value / width) as usize,
+            Buckets::Log2 => (u64::BITS - value.leading_zeros()) as usize,
+        }
+    }
+
+    /// The smallest and largest value bucket `i` holds.
+    fn bounds(self, i: usize) -> (u64, u64) {
+        let i = i as u64;
+        match self {
+            Buckets::Linear(width) => (i * width, (i + 1) * width - 1),
+            Buckets::Log2 if i == 0 => (0, 0),
+            Buckets::Log2 => (1 << (i - 1), u64::MAX >> (64 - i)),
+        }
+    }
+}
+
+/// A histogram over `u64` samples whose buckets grow as samples arrive.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    bucket_width: u64,
+    rule: Buckets,
     counts: Vec<u64>,
     samples: u64,
     sum: u64,
@@ -32,9 +62,18 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bucket_width` is zero.
-    pub fn new(bucket_width: u64) -> Self {
+    pub fn linear(bucket_width: u64) -> Self {
         assert!(bucket_width > 0, "histogram bucket width must be positive");
-        Histogram { bucket_width, counts: Vec::new(), samples: 0, sum: 0, max: 0 }
+        Histogram::with(Buckets::Linear(bucket_width))
+    }
+
+    /// Creates a histogram with one bucket per sample bit length.
+    pub fn log2() -> Self {
+        Histogram::with(Buckets::Log2)
+    }
+
+    fn with(rule: Buckets) -> Self {
+        Histogram { rule, counts: Vec::new(), samples: 0, sum: 0, max: 0 }
     }
 
     /// Records one sample.
@@ -48,7 +87,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = (value / self.bucket_width) as usize;
+        let idx = self.rule.index(value);
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
@@ -86,22 +125,22 @@ impl Histogram {
     /// inclusive upper edge of the bucket holding the `⌈p·samples⌉`-th
     /// smallest sample, clamped to the observed maximum. 0 if empty.
     pub fn percentile(&self, p: f64) -> u64 {
-        percentile_rank(self.samples, p)
-            .map(|rank| {
-                let mut seen = 0u64;
-                for (i, &c) in self.counts.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        return ((i as u64 + 1) * self.bucket_width - 1).min(self.max);
-                    }
-                }
-                self.max
-            })
-            .unwrap_or(0)
+        if self.samples == 0 {
+            return 0;
+        }
+        let rank = ((p.clamp(0.0, 1.0) * self.samples as f64).ceil() as u64).clamp(1, self.samples);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return self.rule.bounds(i).1.min(self.max);
+            }
+        }
+        self.max
     }
 
-    /// Renders as a JSON object with bucket bounds, counts, and summary
-    /// statistics.
+    /// Renders as a JSON object with bucket bounds (`hi` exclusive,
+    /// saturating at `u64::MAX`), counts, and summary statistics.
     pub fn to_json(&self) -> Json {
         let buckets = self
             .counts
@@ -109,134 +148,23 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| {
+                let (lo, hi) = self.rule.bounds(i);
                 Json::obj([
-                    ("lo", Json::U64(i as u64 * self.bucket_width)),
-                    ("hi", Json::U64((i as u64 + 1) * self.bucket_width)),
+                    ("lo", Json::U64(lo)),
+                    ("hi", Json::U64(hi.saturating_add(1))),
                     ("count", Json::U64(c)),
                 ])
             })
             .collect::<Vec<_>>();
-        Json::obj([
-            ("kind", Json::str("linear")),
-            ("bucket_width", Json::U64(self.bucket_width)),
-            ("samples", Json::U64(self.samples)),
-            ("sum", Json::U64(self.sum)),
-            ("max", Json::U64(self.max)),
-            ("mean", Json::F64(self.mean())),
-            ("p50", Json::U64(self.percentile(0.50))),
-            ("p90", Json::U64(self.percentile(0.90))),
-            ("p99", Json::U64(self.percentile(0.99))),
-            ("buckets", Json::Arr(buckets)),
-        ])
-    }
-}
-
-/// Bucket-walk target for a quantile: the 1-based rank of the sample the
-/// `p`-quantile falls on, or `None` for an empty histogram.
-fn percentile_rank(samples: u64, p: f64) -> Option<u64> {
-    if samples == 0 {
-        return None;
-    }
-    let p = p.clamp(0.0, 1.0);
-    Some(((p * samples as f64).ceil() as u64).clamp(1, samples))
-}
-
-/// A power-of-two-bucket histogram: bucket `i` counts samples whose bit
-/// length is `i`, i.e. bucket 0 holds the value 0, bucket `i >= 1` holds
-/// `[2^(i-1), 2^i)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Log2Histogram {
-    counts: [u64; 65],
-    samples: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram { counts: [0; 65], samples: 0, sum: 0, max: 0 }
-    }
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (u64::BITS - value.leading_zeros()) as usize;
-        self.counts[idx] += 1;
-        self.samples += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Largest sample recorded (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.samples as f64
+        let mut fields = vec![];
+        match self.rule {
+            Buckets::Linear(width) => {
+                fields.push(("kind", Json::str("linear")));
+                fields.push(("bucket_width", Json::U64(width)));
+            }
+            Buckets::Log2 => fields.push(("kind", Json::str("log2"))),
         }
-    }
-
-    /// Count of samples with bit length `i` (bucket 0 = the value 0).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Upper-bound estimate of the `p`-quantile (`p` in `(0, 1]`): the
-    /// inclusive upper edge of the bucket holding the `⌈p·samples⌉`-th
-    /// smallest sample, clamped to the observed maximum. 0 if empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        percentile_rank(self.samples, p)
-            .map(|rank| {
-                let mut seen = 0u64;
-                for (i, &c) in self.counts.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        let hi = if i == 0 {
-                            0
-                        } else if i == 64 {
-                            u64::MAX
-                        } else {
-                            (1u64 << i) - 1
-                        };
-                        return hi.min(self.max);
-                    }
-                }
-                self.max
-            })
-            .unwrap_or(0)
-    }
-
-    /// Renders as a JSON object with bucket bounds, counts, and summary
-    /// statistics.
-    pub fn to_json(&self) -> Json {
-        let buckets = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = if i == 0 { (0, 1) } else { (1u64 << (i - 1), 1u64 << i) };
-                Json::obj([("lo", Json::U64(lo)), ("hi", Json::U64(hi)), ("count", Json::U64(c))])
-            })
-            .collect::<Vec<_>>();
-        Json::obj([
-            ("kind", Json::str("log2")),
+        fields.extend([
             ("samples", Json::U64(self.samples)),
             ("sum", Json::U64(self.sum)),
             ("max", Json::U64(self.max)),
@@ -245,7 +173,8 @@ impl Log2Histogram {
             ("p90", Json::U64(self.percentile(0.90))),
             ("p99", Json::U64(self.percentile(0.99))),
             ("buckets", Json::Arr(buckets)),
-        ])
+        ]);
+        Json::obj(fields)
     }
 }
 
@@ -255,8 +184,8 @@ mod tests {
 
     #[test]
     fn record_n_equals_repeated_record() {
-        let mut one = Histogram::new(3);
-        let mut many = Histogram::new(3);
+        let mut one = Histogram::linear(3);
+        let mut many = Histogram::linear(3);
         for (v, n) in [(5, 4), (0, 2), (11, 1), (7, 0)] {
             for _ in 0..n {
                 one.record(v);
@@ -270,7 +199,7 @@ mod tests {
 
     #[test]
     fn linear_buckets_and_stats() {
-        let mut h = Histogram::new(4);
+        let mut h = Histogram::linear(4);
         for v in [0, 1, 3, 4, 7, 12] {
             h.record(v);
         }
@@ -285,7 +214,7 @@ mod tests {
 
     #[test]
     fn linear_json_has_bounds() {
-        let mut h = Histogram::new(10);
+        let mut h = Histogram::linear(10);
         h.record(5);
         h.record(25);
         let j = h.to_json();
@@ -298,7 +227,7 @@ mod tests {
 
     #[test]
     fn log2_bucket_edges() {
-        let mut h = Log2Histogram::new();
+        let mut h = Histogram::log2();
         for v in [0, 1, 2, 3, 4, 7, 8, 1023, 1024] {
             h.record(v);
         }
@@ -315,7 +244,7 @@ mod tests {
 
     #[test]
     fn log2_handles_u64_max() {
-        let mut h = Log2Histogram::new();
+        let mut h = Histogram::log2();
         h.record(u64::MAX);
         assert_eq!(h.bucket(64), 1);
         assert_eq!(h.max(), u64::MAX);
@@ -323,19 +252,19 @@ mod tests {
 
     #[test]
     fn empty_histograms_render() {
-        assert_eq!(Histogram::new(1).to_json().get("samples").and_then(Json::as_u64), Some(0));
-        assert_eq!(Log2Histogram::new().mean(), 0.0);
+        assert_eq!(Histogram::linear(1).to_json().get("samples").and_then(Json::as_u64), Some(0));
+        assert_eq!(Histogram::log2().mean(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "bucket width")]
     fn zero_width_rejected() {
-        let _ = Histogram::new(0);
+        let _ = Histogram::linear(0);
     }
 
     #[test]
     fn linear_percentiles() {
-        let mut h = Histogram::new(1);
+        let mut h = Histogram::linear(1);
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -346,18 +275,18 @@ mod tests {
         assert_eq!(h.percentile(1.0), 100);
         // Coarse buckets report the bucket's inclusive upper edge,
         // clamped to the observed max.
-        let mut c = Histogram::new(10);
+        let mut c = Histogram::linear(10);
         c.record(3);
         c.record(4);
         c.record(27);
         assert_eq!(c.percentile(0.50), 9);
         assert_eq!(c.percentile(0.99), 27); // bucket hi 29 clamped to max
-        assert_eq!(Histogram::new(4).percentile(0.5), 0); // empty
+        assert_eq!(Histogram::linear(4).percentile(0.5), 0); // empty
     }
 
     #[test]
     fn log2_percentiles() {
-        let mut h = Log2Histogram::new();
+        let mut h = Histogram::log2();
         for _ in 0..90 {
             h.record(1);
         }
@@ -367,17 +296,17 @@ mod tests {
         assert_eq!(h.percentile(0.50), 1);
         assert_eq!(h.percentile(0.90), 1);
         assert_eq!(h.percentile(0.99), 1000); // bucket hi 1023 clamped to max
-        let mut z = Log2Histogram::new();
+        let mut z = Histogram::log2();
         z.record(0);
         assert_eq!(z.percentile(0.99), 0);
         z.record(u64::MAX);
         assert_eq!(z.percentile(1.0), u64::MAX);
-        assert_eq!(Log2Histogram::new().percentile(0.5), 0); // empty
+        assert_eq!(Histogram::log2().percentile(0.5), 0); // empty
     }
 
     #[test]
     fn percentiles_in_json() {
-        let mut h = Histogram::new(1);
+        let mut h = Histogram::linear(1);
         for v in 1..=10u64 {
             h.record(v);
         }
@@ -385,7 +314,7 @@ mod tests {
         assert_eq!(j.get("p50").and_then(Json::as_u64), Some(5));
         assert_eq!(j.get("p90").and_then(Json::as_u64), Some(9));
         assert_eq!(j.get("p99").and_then(Json::as_u64), Some(10));
-        let lj = Log2Histogram::new().to_json();
+        let lj = Histogram::log2().to_json();
         assert_eq!(lj.get("p99").and_then(Json::as_u64), Some(0));
     }
 }

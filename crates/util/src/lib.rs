@@ -24,7 +24,7 @@ pub mod seqset;
 pub mod trace;
 
 pub use digest::Fnv64;
-pub use hist::{Histogram, Log2Histogram};
+pub use hist::Histogram;
 pub use json::{Json, JsonError};
 pub use pool::{default_jobs, run_indexed};
 pub use seqset::SeqSet;
